@@ -9,18 +9,21 @@
  *
  * Data contract (see sfq.py for the authoritative index tables):
  *   queue._cview = [heap, state, ent, start, fin, run, ver, seq,
- *                   solo, float_fast, tags, slots]
- *   queue._state = [vt, max_finish, in_service_slot, runnable_count]
+ *                   solo, float_fast, slots]
+ *   queue._state = [vt, max_finish, in_service_slot, runnable_count,
+ *                   denominator]
  *   heap entries = (start_tag, arrival_seq, version, slot)
- *   chain entry  = (queue, float_fast, solo, heap, state, start, fin,
+ *   chain entry  = (float_fast, solo, heap, state, start, fin,
  *                   run, ver, seq, slot, entity, parent)
  *
  * Arithmetic: float-mode tag math runs on C doubles, which is exact
  * w.r.t. CPython because ints below 2^53 convert exactly and IEEE
  * division of exact operands is correctly rounded — the same value
- * CPython's long_true_divide produces.  Anything outside that range
- * (or exact/Fraction mode) falls back to the Python object protocol,
- * i.e. literally the same code paths the pure engine uses.
+ * CPython's long_true_divide produces.  Integer-mode tags are Python
+ * ints (numerators over the queue's denominator) and run on int64
+ * whenever nothing overflows.  Anything outside those ranges falls back
+ * to the Python object protocol, i.e. literally the same expressions
+ * the pure engine evaluates.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -29,20 +32,20 @@
 /* ---- index tables (mirrors of sfq.py constants) ------------------------- */
 
 enum { CV_HEAP, CV_STATE, CV_ENT, CV_START, CV_FIN, CV_RUN, CV_VER,
-       CV_SEQ, CV_SOLO, CV_FLOAT, CV_TAGS, CV_SLOTS, CV_LEN };
+       CV_SEQ, CV_SOLO, CV_FLOAT, CV_SLOTS, CV_LEN };
 
-enum { ST_VT, ST_MF, ST_SRV, ST_RC, ST_LEN };
+enum { ST_VT, ST_MF, ST_SRV, ST_RC, ST_DEN, ST_LEN };
 
-enum { CH_QUEUE, CH_FLOAT, CH_SOLO, CH_HEAP, CH_STATE, CH_START, CH_FIN,
+enum { CH_FLOAT, CH_SOLO, CH_HEAP, CH_STATE, CH_START, CH_FIN,
        CH_RUN, CH_VER, CH_SEQ, CH_SLOT, CH_ENTITY, CH_PARENT, CH_LEN };
 
 /* interned attribute names, created at module init */
-static PyObject *str_cview, *str_weight, *str_advance, *str_runnable,
+static PyObject *str_cview, *str_weight, *str_runnable,
     *str_queue, *str_parent;
 /* repro.errors.SchedulingError, resolved at module init */
 static PyObject *SchedulingError;
 /* cached small ints */
-static PyObject *long_zero;
+static PyObject *long_zero, *long_one;
 
 /* exact-double range: |int| <= 2^53 converts to double losslessly */
 #define EXACT_DOUBLE_MAX 9007199254740992LL /* 2^53 */
@@ -59,13 +62,33 @@ as_ssize(PyObject *obj, Py_ssize_t *out)
     return 0;
 }
 
-/* obj < other for tag values (floats fast, object protocol otherwise).
- * Returns 1/0, or -1 with an exception set. */
+/* Three-way compare of two integer tags that both fit in 64 bits:
+ * stores -1/0/1 in *order and returns 1.  Returns 0 (nothing stored)
+ * when either is not an exact int or is wider than 64 bits. */
+static int
+int64_order(PyObject *a, PyObject *b, int *order)
+{
+    if (!PyLong_CheckExact(a) || !PyLong_CheckExact(b))
+        return 0;
+    int oa = 0, ob = 0;
+    long long va = PyLong_AsLongLongAndOverflow(a, &oa);
+    long long vb = PyLong_AsLongLongAndOverflow(b, &ob);
+    if (oa || ob)
+        return 0;
+    *order = (va > vb) - (va < vb);
+    return 1;
+}
+
+/* obj < other for tag values (floats and int64 fast, object protocol
+ * otherwise).  Returns 1/0, or -1 with an exception set. */
 static int
 tag_lt(PyObject *a, PyObject *b)
 {
     if (PyFloat_CheckExact(a) && PyFloat_CheckExact(b))
         return PyFloat_AS_DOUBLE(a) < PyFloat_AS_DOUBLE(b);
+    int order;
+    if (int64_order(a, b, &order))
+        return order < 0;
     return PyObject_RichCompareBool(a, b, Py_LT);
 }
 
@@ -74,6 +97,9 @@ tag_gt(PyObject *a, PyObject *b)
 {
     if (PyFloat_CheckExact(a) && PyFloat_CheckExact(b))
         return PyFloat_AS_DOUBLE(a) > PyFloat_AS_DOUBLE(b);
+    int order;
+    if (int64_order(a, b, &order))
+        return order > 0;
     return PyObject_RichCompareBool(a, b, Py_GT);
 }
 
@@ -240,15 +266,169 @@ heap_discard_min(PyObject *heap)
     return heap_discard_min_cmp(heap, entry_lt);
 }
 
+/* read list[i] borrowed with bounds responsibility on the caller */
+#define COL(list, i) PyList_GET_ITEM((list), (i))
+
+/* store an owned reference into a list column (decrefs the old value) */
+static int
+col_store(PyObject *list, Py_ssize_t i, PyObject *owned)
+{
+    if (owned == NULL)
+        return -1;
+    return PyList_SetItem(list, i, owned); /* steals owned, decrefs old */
+}
+
+/* gcd(a, b) of two positive Python ints by Euclid's algorithm.  Returns
+ * a new reference. */
+static PyObject *
+long_gcd(PyObject *a, PyObject *b)
+{
+    Py_INCREF(a);
+    Py_INCREF(b);
+    for (;;) {
+        int done = PyObject_RichCompareBool(b, long_zero, Py_EQ);
+        if (done < 0) {
+            Py_DECREF(a);
+            Py_DECREF(b);
+            return NULL;
+        }
+        if (done) {
+            Py_DECREF(b);
+            return a;
+        }
+        PyObject *rest = PyNumber_Remainder(a, b);
+        Py_DECREF(a);
+        if (rest == NULL) {
+            Py_DECREF(b);
+            return NULL;
+        }
+        a = b;
+        b = rest;
+    }
+}
+
+/* C twin of sfq._grow_denominator: validate weight (a positive int),
+ * then grow the queue's denominator D to lcm(D, weight), multiplying
+ * every numerator -- both tag columns, v, the maximum finish tag and the
+ * heap keys -- by k = D'/D in place.  A positive k keeps the heap
+ * ordered.  Returns a new reference to D'. */
+static PyObject *
+grow_denominator(PyObject *heap, PyObject *state, PyObject *start_col,
+                 PyObject *fin_col, PyObject *weight)
+{
+    int nonpositive = PyObject_RichCompareBool(weight, long_zero, Py_LE);
+    if (nonpositive < 0)
+        return NULL;
+    if (nonpositive) {
+        PyErr_Format(PyExc_ValueError,
+                     "weight must be positive, got %R", weight);
+        return NULL;
+    }
+    if (!PyLong_Check(weight)) {
+        PyErr_Format(PyExc_TypeError,
+                     "weight must be an integer, got %R", weight);
+        return NULL;
+    }
+    PyObject *den = COL(state, ST_DEN);
+    PyObject *common = long_gcd(den, weight);
+    if (common == NULL)
+        return NULL;
+    PyObject *k = PyNumber_FloorDivide(weight, common);
+    Py_DECREF(common);
+    if (k == NULL)
+        return NULL;
+    int unit = PyObject_RichCompareBool(k, long_one, Py_EQ);
+    if (unit < 0)
+        goto fail;
+    if (unit) {
+        Py_DECREF(k);
+        Py_INCREF(den);
+        return den;
+    }
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(start_col); i++) {
+        if (col_store(start_col, i,
+                      PyNumber_Multiply(COL(start_col, i), k)) < 0 ||
+            col_store(fin_col, i, PyNumber_Multiply(COL(fin_col, i), k)) < 0)
+            goto fail;
+    }
+    if (col_store(state, ST_VT, PyNumber_Multiply(COL(state, ST_VT), k)) < 0 ||
+        col_store(state, ST_MF, PyNumber_Multiply(COL(state, ST_MF), k)) < 0)
+        goto fail;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(heap); i++) {
+        PyObject *entry = COL(heap, i);
+        PyObject *key = PyNumber_Multiply(PyTuple_GET_ITEM(entry, 0), k);
+        if (key == NULL)
+            goto fail;
+        PyObject *scaled = PyTuple_Pack(4, key, PyTuple_GET_ITEM(entry, 1),
+                                        PyTuple_GET_ITEM(entry, 2),
+                                        PyTuple_GET_ITEM(entry, 3));
+        Py_DECREF(key);
+        if (scaled == NULL || PyList_SetItem(heap, i, scaled) < 0)
+            goto fail;
+    }
+    if (col_store(state, ST_DEN, PyNumber_Multiply(den, k)) < 0)
+        goto fail;
+    Py_DECREF(k);
+    den = COL(state, ST_DEN);
+    Py_INCREF(den);
+    return den;
+fail:
+    Py_DECREF(k);
+    return NULL;
+}
+
+/* integer-mode finish numerator = start + length * (D // weight), with D
+ * grown first when weight does not divide it.  int64 arithmetic when
+ * nothing overflows, the same expression through the object protocol
+ * otherwise.  Returns a new reference. */
+static PyObject *
+advance_int(PyObject *heap, PyObject *state, PyObject *start_col,
+            PyObject *fin_col, Py_ssize_t slot, PyObject *length,
+            PyObject *weight)
+{
+    PyObject *start = COL(start_col, slot);
+    PyObject *den = COL(state, ST_DEN);
+    if (PyLong_CheckExact(weight) && PyLong_CheckExact(length) &&
+        PyLong_CheckExact(start) && PyLong_CheckExact(den)) {
+        int of_w = 0, of_l = 0, of_s = 0, of_d = 0;
+        long long wval = PyLong_AsLongLongAndOverflow(weight, &of_w);
+        long long lval = PyLong_AsLongLongAndOverflow(length, &of_l);
+        long long sval = PyLong_AsLongLongAndOverflow(start, &of_s);
+        long long dval = PyLong_AsLongLongAndOverflow(den, &of_d);
+        long long product, finish;
+        if (!of_w && !of_l && !of_s && !of_d && wval > 0 &&
+            dval % wval == 0 &&
+            !__builtin_mul_overflow(lval, dval / wval, &product) &&
+            !__builtin_add_overflow(sval, product, &finish))
+            return PyLong_FromLongLong(finish);
+    }
+    den = grow_denominator(heap, state, start_col, fin_col, weight);
+    if (den == NULL)
+        return NULL;
+    PyObject *step = PyNumber_FloorDivide(den, weight);
+    Py_DECREF(den);
+    if (step == NULL)
+        return NULL;
+    PyObject *product = PyNumber_Multiply(length, step);
+    Py_DECREF(step);
+    if (product == NULL)
+        return NULL;
+    PyObject *finish = PyNumber_Add(COL(start_col, slot), product);
+    Py_DECREF(product);
+    return finish;
+}
+
 /* finish = start + length / weight, matching the pure engine bit for bit.
  * float_fast: C doubles when everything is exactly representable,
- * object-protocol arithmetic otherwise; exact mode: tags.advance().
+ * object-protocol arithmetic otherwise; integer mode: advance_int().
  * Returns a new reference. */
 static PyObject *
-advance_tag(PyObject *tags, int float_fast, PyObject *start,
+advance_tag(int float_fast, PyObject *heap, PyObject *state,
+            PyObject *start_col, PyObject *fin_col, Py_ssize_t slot,
             PyObject *length, PyObject *weight)
 {
     if (float_fast) {
+        PyObject *start = COL(start_col, slot);
         if (PyFloat_CheckExact(start) && PyLong_CheckExact(length) &&
             PyLong_CheckExact(weight)) {
             int oflow_l = 0, oflow_w = 0;
@@ -283,20 +463,8 @@ advance_tag(PyObject *tags, int float_fast, PyObject *start,
         Py_DECREF(quotient);
         return finish;
     }
-    return PyObject_CallMethodObjArgs(tags, str_advance, start, length,
-                                      weight, NULL);
-}
-
-/* read list[i] borrowed with bounds responsibility on the caller */
-#define COL(list, i) PyList_GET_ITEM((list), (i))
-
-/* store an owned reference into a list column (decrefs the old value) */
-static int
-col_store(PyObject *list, Py_ssize_t i, PyObject *owned)
-{
-    if (owned == NULL)
-        return -1;
-    return PyList_SetItem(list, i, owned); /* steals owned, decrefs old */
+    return advance_int(heap, state, start_col, fin_col, slot, length,
+                       weight);
 }
 
 static int
@@ -528,8 +696,9 @@ queue_charge_impl(PyObject *queue, PyObject *entity, PyObject *length)
         goto fail;
     }
     PyObject *start_col = COL(cview, CV_START);
-    PyObject *finish = advance_tag(COL(cview, CV_TAGS), (int)float_fast,
-                                   COL(start_col, slot), length, weight);
+    PyObject *finish = advance_tag((int)float_fast, COL(cview, CV_HEAP),
+                                   COL(cview, CV_STATE), start_col,
+                                   COL(cview, CV_FIN), slot, length, weight);
     Py_DECREF(weight);
     if (finish == NULL)
         goto fail;
@@ -781,7 +950,6 @@ charge_chain_impl(PyObject *chain, PyObject *length)
         return -1;
     for (Py_ssize_t i = 0; i < PyList_GET_SIZE(chain); i++) {
         PyObject *entry = PyList_GET_ITEM(chain, i);
-        PyObject *queue = PyTuple_GET_ITEM(entry, CH_QUEUE);
         PyObject *entity = PyTuple_GET_ITEM(entry, CH_ENTITY);
         Py_ssize_t float_fast, solo, slot;
         if (as_ssize(PyTuple_GET_ITEM(entry, CH_FLOAT), &float_fast) < 0 ||
@@ -792,17 +960,12 @@ charge_chain_impl(PyObject *chain, PyObject *length)
         if (weight == NULL)
             return -1;
         PyObject *start_col = PyTuple_GET_ITEM(entry, CH_START);
-        PyObject *tags = NULL;
-        if (!float_fast) {
-            tags = PyObject_GetAttrString(queue, "tags");
-            if (tags == NULL) {
-                Py_DECREF(weight);
-                return -1;
-            }
-        }
-        PyObject *finish = advance_tag(tags, (int)float_fast,
-                                       COL(start_col, slot), length, weight);
-        Py_XDECREF(tags);
+        PyObject *finish = advance_tag((int)float_fast,
+                                       PyTuple_GET_ITEM(entry, CH_HEAP),
+                                       PyTuple_GET_ITEM(entry, CH_STATE),
+                                       start_col,
+                                       PyTuple_GET_ITEM(entry, CH_FIN),
+                                       slot, length, weight);
         Py_DECREF(weight);
         if (finish == NULL)
             return -1;
@@ -999,7 +1162,7 @@ static PyObject *str_active, *str_tracer, *str_engine, *str_now,
     *str_priority, *str_seq_attr, *str_turbo_wake, *str_wakeups,
     *str_transition, *str_last_runnable_at, *str_thread_runnable,
     *str_preempt_policy, *str_should_preempt, *str_preempt_current;
-static PyObject *long_one, *long_neg_one, *long_second, *empty_tuple;
+static PyObject *long_neg_one, *long_second, *empty_tuple;
 
 /* lazily resolved classes/objects (the repro modules that define them
  * import this extension, so they cannot be imported at module init) */
@@ -2526,7 +2689,6 @@ static struct {
 } intern_table[] = {
     {&str_cview, "_cview"},
     {&str_weight, "weight"},
-    {&str_advance, "advance"},
     {&str_runnable, "runnable"},
     {&str_queue, "queue"},
     {&str_parent, "parent"},

@@ -21,6 +21,19 @@ The queue never needs quantum lengths in advance — lengths are supplied at
 :meth:`charge` time, which is the property that makes SFQ usable for CPU
 scheduling (threads may block before exhausting their quantum).
 
+Tag representation
+------------------
+A queue is either *float* (``TagMath(exact=False)``: tags are machine
+floats) or *integer* (the exact default).  An integer queue stores every
+tag — the arena's start/finish columns, ``v``, the maximum finish tag and
+the heap keys — as a plain ``int`` numerator over one per-queue
+denominator ``D`` kept in ``_state[_DEN]`` (see :mod:`repro.core.tags`).
+A charge computes ``F = S + l * (D // w)``; a weight that does not divide
+``D`` first grows ``D`` to ``lcm(D, w)`` and rescales the queue in place
+(:func:`_grow_denominator`).  The public accessors (:meth:`start_tag`,
+:meth:`finish_tag`, :attr:`virtual_time`) return ``Fraction(n, D)``, so
+callers see exactly the values Fraction arithmetic would produce.
+
 Storage layout (since the columnar-arena refactor)
 --------------------------------------------------
 Per-entity state lives in the flat parallel columns of a
@@ -48,7 +61,9 @@ reference the compiled engine is gated against.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.arena import SfqArena
@@ -62,6 +77,7 @@ _VT = 0    # virtual time v
 _MF = 1    # maximum finish tag ever assigned
 _SRV = 2   # slot currently in service, -1 when none
 _RC = 3    # count of runnable entities
+_DEN = 4   # tag denominator D of an integer queue (1 on float queues)
 
 # Indices into SfqQueue._cview (mirrored by the compiled engine).
 _CV_HEAP = 0
@@ -74,8 +90,7 @@ _CV_VER = 6
 _CV_SEQ = 7
 _CV_SOLO = 8
 _CV_FLOAT = 9
-_CV_TAGS = 10
-_CV_SLOTS = 11
+_CV_SLOTS = 10
 
 
 class SfqQueue:
@@ -91,16 +106,15 @@ class SfqQueue:
         self._slots: Dict[int, int] = {}
         self._heap: List[Tuple[Tag, int, int, int]] = []
         zero = self.tags.zero()
-        self._state: List[Any] = [zero, zero, -1, 0]
+        self._state: List[Any] = [zero, zero, -1, 0, 1]
         #: the single live slot while exactly one entity is registered
         #: (solo mode: empty heap, no pushes), else -1
         self._solo = -1
-        # Hot-path specialization: stock float-mode tag math is inlined in
+        # Hot-path specialization: float-mode tag math is inlined in
         # charge() (`start + length / weight` — the exact expression
         # TagMath.advance computes), skipping two calls per charge per tree
-        # level.  Exact mode and custom TagMath objects take the slow path.
-        self._float_fast = (type(self.tags) is TagMath
-                            and not self.tags.exact)
+        # level.  Exact mode keeps integer numerators over _state[_DEN].
+        self._float_fast = not self.tags.exact
         # Column view for the descent/compiled hot paths: stable references
         # to the heap, state vector and arena columns (none of which are
         # ever rebound), plus the solo slot mirrored at _CV_SOLO.  The
@@ -110,7 +124,7 @@ class SfqQueue:
                                   arena.start, arena.fin, arena.run,
                                   arena.ver, arena.seq, -1,
                                   1 if self._float_fast else 0,
-                                  self.tags, self._slots]
+                                  self._slots]
 
     # --- membership ---------------------------------------------------
 
@@ -179,7 +193,10 @@ class SfqQueue:
     @property
     def virtual_time(self) -> Tag:
         """Current virtual time ``v`` of this queue."""
-        return self._state[_VT]
+        value = self._state[_VT]
+        if self._float_fast:
+            return value
+        return Fraction(value, self._state[_DEN])
 
     @property
     def runnable_count(self) -> int:
@@ -192,11 +209,17 @@ class SfqQueue:
 
     def start_tag(self, entity: Any) -> Tag:
         """Current start tag of ``entity`` (for tests and tracing)."""
-        return self.arena.start[self._slot_of(entity)]
+        value = self.arena.start[self._slot_of(entity)]
+        if self._float_fast:
+            return value
+        return Fraction(value, self._state[_DEN])
 
     def finish_tag(self, entity: Any) -> Tag:
         """Current finish tag of ``entity`` (for tests and tracing)."""
-        return self.arena.fin[self._slot_of(entity)]
+        value = self.arena.fin[self._slot_of(entity)]
+        if self._float_fast:
+            return value
+        return Fraction(value, self._state[_DEN])
 
     def is_runnable(self, entity: Any) -> bool:
         """True if ``entity`` is currently marked runnable in this queue."""
@@ -300,7 +323,11 @@ class SfqQueue:
             # float-mode TagMath.advance, inlined:
             finish = arena.start[slot] + length / weight  # schedlint: disable=SL004
         else:
-            finish = self.tags.advance(arena.start[slot], length, weight)
+            den = self._state[_DEN]
+            if type(weight) is not int or weight <= 0 or den % weight:
+                den = _grow_denominator(self._heap, self._state, arena.start,
+                                        arena.fin, weight)
+            finish = arena.start[slot] + length * (den // weight)
         arena.fin[slot] = finish
         state = self._state
         if finish > state[_MF]:
@@ -335,6 +362,39 @@ class SfqQueue:
         return self._slot_of(entity)
 
 
+def _grow_denominator(heap: List[Tuple[Tag, int, int, int]],
+                      state: List[Any], start_col: List[Any],
+                      fin_col: List[Any], weight: Any) -> int:
+    """Make an integer queue's denominator divisible by ``weight``.
+
+    Validates ``weight`` (a positive integer), then grows ``D`` to
+    ``lcm(D, weight)`` and multiplies every stored numerator — both tag
+    columns, ``v``, the maximum finish tag and the heap keys — by
+    ``k = D' / D``, in place.  Scaling by a positive ``k`` preserves
+    every comparison, so the heap stays ordered and the cached chain and
+    cview references stay valid.  ``D`` never shrinks.  Returns ``D'``.
+    """
+    if weight <= 0:
+        raise ValueError("weight must be positive, got %r" % (weight,))
+    if not isinstance(weight, int):
+        raise TypeError("weight must be an integer, got %r" % (weight,))
+    den = state[_DEN]
+    k = weight // gcd(den, weight)
+    if k == 1:
+        return den
+    for slot in range(len(start_col)):
+        start_col[slot] *= k
+        fin_col[slot] *= k
+    state[_VT] *= k
+    state[_MF] *= k
+    for index in range(len(heap)):
+        start, seq, version, slot = heap[index]
+        heap[index] = (start * k, seq, version, slot)
+    den *= k
+    state[_DEN] = den
+    return den
+
+
 # --- module-level per-queue operations (engine-swappable) --------------------
 #
 # The leaf SFQ scheduler and the hierarchy's traced paths go through these
@@ -356,26 +416,25 @@ def queue_charge(queue: SfqQueue, entity: Any, length: int) -> None:
 ChainEntry = Tuple[Any, ...]
 
 # Indices into a chain entry (mirrored by the compiled engine).
-_CH_QUEUE = 0
-_CH_FLOAT = 1
-_CH_SOLO = 2
-_CH_HEAP = 3
-_CH_STATE = 4
-_CH_START = 5
-_CH_FIN = 6
-_CH_RUN = 7
-_CH_VER = 8
-_CH_SEQ = 9
-_CH_SLOT = 10
-_CH_ENTITY = 11
-_CH_PARENT = 12
+_CH_FLOAT = 0
+_CH_SOLO = 1
+_CH_HEAP = 2
+_CH_STATE = 3
+_CH_START = 4
+_CH_FIN = 5
+_CH_RUN = 6
+_CH_VER = 7
+_CH_SEQ = 8
+_CH_SLOT = 9
+_CH_ENTITY = 10
+_CH_PARENT = 11
 
 
 def build_ancestor_chain(leaf: Any) -> List[ChainEntry]:
     """Precompute one flat entry per ancestor of ``leaf``.
 
     Each entry pre-resolves everything the chain walks touch — the
-    ancestor's queue object, its solo slot, heap, state vector, the arena
+    ancestor queue's tag mode, solo slot, heap, state vector, the arena
     columns, the child's slot — so the per-level work is pure list
     indexing.  The chain mirrors the leaf-to-root walks the hierarchy
     performs on charge and eligibility changes, and stays valid until the
@@ -389,7 +448,7 @@ def build_ancestor_chain(leaf: Any) -> List[ChainEntry]:
         parent = node.parent
         queue = parent.queue
         arena = queue.arena
-        chain.append((queue, queue._float_fast, queue._solo, queue._heap,
+        chain.append((queue._float_fast, queue._solo, queue._heap,
                       queue._state, arena.start, arena.fin, arena.run,
                       arena.ver, arena.seq, queue.slot_of(node), node,
                       parent))
@@ -407,13 +466,17 @@ def charge_chain(chain: List[ChainEntry], length: int) -> None:
     by the machine and structure, not re-checked here): ``length >= 0``
     and every entity registered with a positive weight.
     """
-    for (queue, float_fast, solo, heap, state, start_col, fin_col, run_col,
+    for (float_fast, solo, heap, state, start_col, fin_col, run_col,
          ver_col, seq_col, slot, entity, __) in chain:
         weight = entity.weight
         if float_fast:
             finish = start_col[slot] + length / weight  # schedlint: disable=SL004
         else:
-            finish = queue.tags.advance(start_col[slot], length, weight)
+            den = state[_DEN]
+            if type(weight) is not int or weight <= 0 or den % weight:
+                den = _grow_denominator(heap, state, start_col, fin_col,
+                                        weight)
+            finish = start_col[slot] + length * (den // weight)
         fin_col[slot] = finish
         if finish > state[_MF]:
             state[_MF] = finish
@@ -434,8 +497,8 @@ def wake_chain(chain: List[ChainEntry]) -> None:
     the first parent that was already runnable — exactly the walk in
     :meth:`HierarchicalScheduler.setrun`.
     """
-    for (__, ___, solo, heap, state, start_col, fin_col, run_col,
-         ver_col, seq_col, slot, ____, parent) in chain:
+    for (__, solo, heap, state, start_col, fin_col, run_col,
+         ver_col, seq_col, slot, ___, parent) in chain:
         if not run_col[slot]:
             run_col[slot] = 1
             state[_RC] += 1
@@ -511,8 +574,8 @@ def sleep_chain(chain: List[ChainEntry]) -> None:
     first ancestor queue that still has runnable children — exactly the
     walk in :meth:`HierarchicalScheduler.sleep`.
     """
-    for (__, ___, ____, _____, state, ______, _______, run_col,
-         ver_col, ________, slot, _________, parent) in chain:
+    for (__, ___, ____, state, _____, ______, run_col,
+         ver_col, _______, slot, ________, parent) in chain:
         if run_col[slot]:
             run_col[slot] = 0
             ver_col[slot] += 1  # lazy-remove from heap

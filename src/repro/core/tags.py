@@ -3,12 +3,26 @@
 SFQ tags are sums of ``length / weight`` terms.  Two arithmetic modes are
 provided:
 
-* **exact** (default): tags are :class:`fractions.Fraction`.  The fairness
-  theorem of the paper then holds *exactly* in tests, with no epsilon.
-* **float**: tags are machine floats.  Faster, and what a kernel would use;
-  the drift it introduces is quantified by the EXP-AB4 ablation.
+* **exact integer** (default): an :class:`~repro.core.sfq.SfqQueue`
+  stores every tag of one queue — start and finish tags, virtual time,
+  the maximum finish tag, the heap keys — as a plain ``int`` numerator
+  over a per-queue denominator ``D``.  Weights are positive integers, so
+  ``D`` starts at 1 and only ever grows to ``lcm(D, w)`` when a charge
+  meets a weight ``w`` that does not divide it; the finish rule is then
+  ``F = S + length * (D // w)``.  Growing ``D`` to ``D'`` multiplies
+  every stored numerator of the queue by ``D' / D``, which preserves all
+  comparisons.  ``D`` never shrinks.  The queue's public accessors return
+  ``Fraction(n, D)``, so the fairness theorem of the paper still holds
+  *exactly* in tests, with no epsilon, and no ``Fraction`` object is
+  built on the hot path.
+* **float**: tags are machine floats.  Faster per operation, and what a
+  kernel would use; the drift it introduces is quantified by the EXP-AB4
+  ablation.
 
-Both modes share the same interface so queues are generic over it.
+:class:`TagMath` names the mode.  Its :meth:`~TagMath.ratio` and
+:meth:`~TagMath.advance` compute in the public representation
+(``Fraction`` or float) — the reference arithmetic the sanitizer checks
+a queue's public tags against; :meth:`~TagMath.zero` is the stored zero.
 """
 
 from __future__ import annotations
@@ -20,12 +34,13 @@ Tag = Union[Fraction, float]
 
 
 class TagMath:
-    """Strategy object for tag arithmetic.
+    """Strategy object naming a queue's tag arithmetic.
 
     Parameters
     ----------
     exact:
-        When True, tags are :class:`~fractions.Fraction`; otherwise floats.
+        When True, queues keep exact integer tags (public values are
+        :class:`~fractions.Fraction`); otherwise floats.
     """
 
     __slots__ = ("exact",)
@@ -34,11 +49,11 @@ class TagMath:
         self.exact = exact
 
     def zero(self) -> Tag:
-        """The initial value of every tag and of virtual time."""
-        return Fraction(0) if self.exact else 0.0
+        """The stored initial value of every tag and of virtual time."""
+        return 0 if self.exact else 0.0
 
     def ratio(self, length: int, weight: int) -> Tag:
-        """``length / weight`` in this mode's representation."""
+        """``length / weight`` in this mode's public representation."""
         if weight <= 0:
             raise ValueError("weight must be positive, got %r" % (weight,))
         if self.exact:

@@ -69,11 +69,12 @@ _SUFFIX_KEYS = {
 }
 
 #: Python ``state[...]`` index constants -> sub-key
-_STATE_INDEX = {"_VT": "vt", "_MF": "mf", "_SRV": "srv", "_RC": "rc"}
+_STATE_INDEX = {"_VT": "vt", "_MF": "mf", "_SRV": "srv", "_RC": "rc",
+                "_DEN": "den"}
 
 #: C ``col_store(state, ST_X, ...)`` index members -> sub-key
 _C_STATE_INDEX = {"ST_VT": "vt", "ST_MF": "mf", "ST_SRV": "srv",
-                  "ST_RC": "rc"}
+                  "ST_RC": "rc", "ST_DEN": "den"}
 
 #: arena attribute names (``arena.start[slot] = ...``)
 _ARENA_ATTRS = {"start", "fin", "run", "ver", "seq", "ent"}

@@ -1,7 +1,7 @@
 """EXP-AB3 — ablation: the SFQ fairness theorem on randomized workloads.
 
 Three threads with distinct weights run randomized bursty workloads on an
-interrupt-perturbed CPU under SFQ with exact (Fraction) tags.  For every
+interrupt-perturbed CPU under SFQ with exact (integer) tags.  For every
 pair we compute the exact maximal normalized service gap over all
 both-runnable subintervals and compare it to the theorem's bound
 ``l̂_f/w_f + l̂_m/w_m``.  The measured/bound ratio must stay at or below 1.
@@ -54,7 +54,7 @@ def run(duration: int = 20 * SECOND, seed: int = 42) -> ExperimentResult:
         rows.append(["%s vs %s" % (a.name, b.name), gap, bound, ratio])
     notes = [
         "worst measured/bound ratio %.3f (theorem requires <= 1)" % worst,
-        "exact Fraction tag arithmetic; gaps computed over every "
+        "exact integer tag arithmetic; gaps computed over every "
         "both-runnable subinterval",
     ]
     return ExperimentResult(

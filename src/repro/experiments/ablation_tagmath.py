@@ -1,8 +1,9 @@
-"""EXP-AB4 — ablation: exact Fraction tags versus float tags.
+"""EXP-AB4 — ablation: exact integer tags versus float tags.
 
 SFQ tags are sums of ``length/weight`` terms.  This repository defaults to
-exact ``fractions.Fraction`` arithmetic (the fairness theorem then holds
-with zero epsilon in tests); a kernel would use fixed/floating point.  This
+exact integer arithmetic — per-queue ``int`` numerators over a common
+denominator (see :mod:`repro.core.tags`), so the fairness theorem holds
+with zero epsilon in tests; a kernel would use fixed/floating point.  This
 ablation runs the same three-thread scenario under both modes and reports
 
 * whether the two runs dispatch identically (they should, until float
@@ -67,7 +68,7 @@ def run(duration: int = 10 * SECOND, seed: int = 9) -> ExperimentResult:
         "tag comparison",
     ]
     return ExperimentResult(
-        "Ablation AB4: exact (Fraction) vs float tag arithmetic",
+        "Ablation AB4: exact (integer) vs float tag arithmetic",
         ["metric", "exact", "float"], rows, notes=notes)
 
 

@@ -6,9 +6,11 @@ scenario regresses when::
     current_median > baseline_median * (1 + threshold)
 
 with a default threshold of 25% — wide enough to absorb host noise and CI
-runner variance, tight enough to catch a real hot-path slip.  Scenarios
-present in only one report are reported but never fail the comparison
-(suites are allowed to grow).  ``--min-speedup name:X`` additionally
+runner variance, tight enough to catch a real hot-path slip.  A scenario
+in the current report with no baseline fails the comparison: it cannot
+be checked, so a pass would be silent about it (record a baseline when a
+scenario is added).  A scenario only in the baseline is reported but
+does not fail (a run may select a subset).  ``--min-speedup name:X`` additionally
 requires ``baseline_median / current_median >= X`` — used to demonstrate
 an optimization target against a recorded pre-change baseline.
 """
@@ -65,9 +67,11 @@ class CompareResult:
 
     @property
     def ok(self) -> bool:
-        """True when no scenario regressed and every required speedup held."""
-        return all(not delta.regressed and delta.met_required
-                   for delta in self.deltas)
+        """True when every current scenario has a baseline, none regressed,
+        and every required speedup held."""
+        return not self.only_current and all(
+            not delta.regressed and delta.met_required
+            for delta in self.deltas)
 
     def render(self) -> str:
         """The full human-readable comparison table plus the verdict line."""
@@ -77,7 +81,8 @@ class CompareResult:
         if self.only_baseline:
             lines.append("only in baseline: %s" % ", ".join(self.only_baseline))
         if self.only_current:
-            lines.append("only in current:  %s" % ", ".join(self.only_current))
+            lines.append("only in current:  %s  [NO BASELINE]"
+                         % ", ".join(self.only_current))
         lines.append("verdict: %s" % ("OK" if self.ok else "FAIL"))
         return "\n".join(lines)
 

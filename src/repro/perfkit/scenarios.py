@@ -10,7 +10,7 @@ the exact same event sequence and differ only in wall-clock cost.
 Scenario sizing has a ``quick`` mode (CI, seconds) and a full mode (local
 baselines).  The deep-hierarchy scenario uses float tag math — what a
 production kernel would ship, and the regime where dispatch overhead
-rather than ``Fraction`` arithmetic dominates, which is precisely what the
+rather than exact tag arithmetic dominates, which is precisely what the
 suite is guarding.
 """
 
@@ -145,7 +145,7 @@ def _deep_tree() -> Tuple[SchedulingStructure, List]:
     Leaves sit at depth 8, so every dispatch walks eight SFQ queues and
     every charge restamps eight ancestors — the paper's O(depth) cost,
     maximized.  Float tag math keeps the measurement about dispatch
-    machinery, not Fraction arithmetic.
+    machinery, not exact tag arithmetic.
     """
     structure = SchedulingStructure(FLOAT)
     leaves = []

@@ -9,6 +9,7 @@ reports so they are timing-independent.
 
 import copy
 import json
+import os
 
 import pytest
 
@@ -138,13 +139,24 @@ class TestCompare:
         with pytest.raises(ValueError, match="mode"):
             compare_reports(current, baseline)
 
-    def test_scenarios_in_one_report_only_never_fail(self):
+    def test_scenario_only_in_baseline_does_not_fail(self):
         baseline = _synthetic_report("quick", deep=1.0, old_only=1.0)
-        current = _synthetic_report("quick", deep=1.0, new_only=1.0)
+        current = _synthetic_report("quick", deep=1.0)
         result = compare_reports(current, baseline)
         assert result.ok
         assert result.only_baseline == ["old_only"]
+        assert result.only_current == []
+
+    def test_unbaselined_scenario_fails(self):
+        """A scenario the baseline cannot check must not pass silently."""
+        baseline = _synthetic_report("quick", deep=1.0)
+        current = _synthetic_report("quick", deep=1.0, new_only=1.0)
+        result = compare_reports(current, baseline)
+        assert not result.ok
         assert result.only_current == ["new_only"]
+        rendered = result.render()
+        assert "new_only  [NO BASELINE]" in rendered
+        assert rendered.endswith("verdict: FAIL")
 
     def test_negative_threshold_rejected(self):
         report = _synthetic_report("quick", deep=1.0)
@@ -182,6 +194,25 @@ class TestCli:
         dump_report(slowed, slowed_path)
         assert main(["compare", slowed_path, baseline_path]) == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    def test_compare_fails_on_unbaselined_scenario(self, quick_report,
+                                                   tmp_path, capsys):
+        baseline_path = str(tmp_path / "baseline.json")
+        dump_report(quick_report, baseline_path)
+        grown = copy.deepcopy(quick_report)
+        grown["scenarios"]["unrecorded"] = grown["scenarios"][FAST_SCENARIO]
+        grown_path = str(tmp_path / "grown.json")
+        dump_report(grown, grown_path)
+        assert main(["compare", grown_path, baseline_path]) == 1
+        assert "unrecorded  [NO BASELINE]" in capsys.readouterr().out
+
+    def test_committed_baseline_covers_every_scenario(self):
+        """The CI bench job gates every scenario the quick suite runs."""
+        baseline = load_report(os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "benchmarks", "baseline.json"))
+        assert baseline["mode"] == "quick"
+        assert sorted(baseline["scenarios"]) == sorted(SCENARIOS)
 
     def test_compare_missing_file_exits_2(self, quick_report, tmp_path,
                                           capsys):

@@ -190,7 +190,9 @@ class TestDormantWeightInvariant:
         arena = root_queue.arena
         assert not arena.run[slot], "test premise: leaf must be dormant"
         media.weight = 7  # schedflow: disable=SF204
-        arena.fin[slot] = root_queue.tags.advance(arena.start[slot], 50_000, 7)
+        # the raw column holds an integer numerator over the queue's
+        # denominator; any eager rewrite of the dormant finish tag warps
+        arena.fin[slot] = arena.start[slot] + 50_000
         with pytest.raises(SchedsanError) as excinfo:
             h.machine.run_until(100 * MS)
         message = str(excinfo.value)

@@ -145,6 +145,15 @@ class TestSeededSkews:
         assert any(f.path.endswith("sfq.py") and "run" in f.message
                    for f in hits), [str(f) for f in hits]
 
+    def test_sf502_catches_dropped_rescale_write(self):
+        """The C twin of the integer-tag rescale must grow D too."""
+        text = _seed(
+            "    if (col_store(state, ST_DEN, PyNumber_Multiply(den, k)) < 0)\n"
+            "        goto fail;\n", "")
+        hits = [f for f in _analyze_seeded(text) if f.code == "SF502"]
+        assert any(f.path.endswith("sfq.py") and "'DEN'" in f.message
+                   for f in hits), [str(f) for f in hits]
+
     def test_sf503_catches_dropped_tracer_gate(self):
         text = _seed(
             "PyObject *tracer = PyObject_GetAttr(machine, str_tracer);",
