@@ -87,11 +87,14 @@ def merge_outboxes(outboxes: Sequence[Sequence[Message]]) -> List[Message]:
     return merged
 
 
+def render_line(msg: Message) -> str:
+    """One message's canonical JSONL line (newline included)."""
+    return json.dumps(msg, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def render_lines(msgs: Iterable[Message]) -> str:
     """Canonical byte-stable JSONL rendering of a message stream."""
-    return "".join(
-        json.dumps(msg, sort_keys=True, separators=(",", ":")) + "\n"
-        for msg in msgs)
+    return "".join(render_line(msg) for msg in msgs)
 
 
 def log_digest(msgs: Iterable[Message]) -> str:

@@ -23,16 +23,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, List, Optional
+from typing import BinaryIO, Dict, List, Optional
 
 from repro.cluster.churn import build_churn
 from repro.cluster.control import CTL_SRC, ControlTier
 from repro.cluster.messages import (
     Message,
     check_sorted,
-    log_digest,
     merge_outboxes,
-    render_lines,
+    render_line,
 )
 from repro.cluster.shards import make_shards
 from repro.cluster.spec import ClusterSpec
@@ -40,7 +39,14 @@ from repro.obs.schedstat import SchedStat, merge_schedstats, render_schedstat_pa
 
 
 class ClusterResult:
-    """Everything one cluster run produced."""
+    """Everything one cluster run produced.
+
+    A result is final: its message log is never changed after the run,
+    so its digests are computed once and kept.  :meth:`write` renders
+    each message once, streaming the lines to both log files and hashing
+    the very bytes it writes; :meth:`digests` renders only if nothing has
+    been written.  The multi-megabyte log text is never held whole.
+    """
 
     def __init__(self, spec: ClusterSpec, seed: int, shards: int,
                  log: List[Message], hosts: List[Dict[str, object]],
@@ -57,25 +63,43 @@ class ClusterResult:
         self.control = control
         self.fault_log = fault_log
         self.schedstat_text = schedstat_text
+        self._digests: Optional[Dict[str, str]] = None
 
-    @property
-    def placement_log(self) -> List[Message]:
-        """Only the control tier's messages (the placement record)."""
-        return [msg for msg in self.log if msg["src"] == CTL_SRC]
+    def _render_logs(self, trace_out: Optional[BinaryIO] = None,
+                     placement_out: Optional[BinaryIO] = None
+                     ) -> Dict[str, str]:
+        """Render every message once; hash (and optionally write) its line.
 
-    def digests(self) -> Dict[str, str]:
-        """sha256 digests of every shard-invariant artifact."""
+        Placement lines are the control tier's lines of the trace, so one
+        rendering serves both logs.  Returns every artifact's digest.
+        """
+        trace, placement = hashlib.sha256(), hashlib.sha256()
+        for msg in self.log:
+            line = render_line(msg).encode("utf-8")
+            trace.update(line)
+            if trace_out is not None:
+                trace_out.write(line)
+            if msg["src"] == CTL_SRC:
+                placement.update(line)
+                if placement_out is not None:
+                    placement_out.write(line)
         hosts_src = json.dumps(
             [{"key": host["key"], "digest": host["digest"]}
              for host in self.hosts],
             sort_keys=True, separators=(",", ":"))
         return {
-            "trace": log_digest(self.log),
-            "placement": log_digest(self.placement_log),
+            "trace": trace.hexdigest(),
+            "placement": placement.hexdigest(),
             "schedstat": hashlib.sha256(
                 self.schedstat_text.encode("utf-8")).hexdigest(),
             "hosts": hashlib.sha256(hosts_src.encode("utf-8")).hexdigest(),
         }
+
+    def digests(self) -> Dict[str, str]:
+        """sha256 digests of every shard-invariant artifact."""
+        if self._digests is None:
+            self._digests = self._render_logs()
+        return dict(self._digests)
 
     def report(self) -> Dict[str, object]:
         """The JSON-able run report (written as ``report.json``)."""
@@ -107,10 +131,9 @@ class ClusterResult:
             "schedstat": os.path.join(outdir, "cluster-schedstat.txt"),
             "report": os.path.join(outdir, "report.json"),
         }
-        with open(paths["trace"], "w") as fh:
-            fh.write(render_lines(self.log))
-        with open(paths["placement"], "w") as fh:
-            fh.write(render_lines(self.placement_log))
+        with open(paths["trace"], "wb") as trace_out, \
+                open(paths["placement"], "wb") as placement_out:
+            self._digests = self._render_logs(trace_out, placement_out)
         with open(paths["schedstat"], "w") as fh:
             fh.write(self.schedstat_text + "\n")
         with open(paths["report"], "w") as fh:

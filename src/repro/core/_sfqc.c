@@ -15,6 +15,10 @@
  *   heap entries = (start_tag, arrival_seq, version, slot)
  *   chain entry  = (float_fast, solo, heap, state, start, fin,
  *                   run, ver, seq, slot, entity, parent)
+ *   tally        = [events, interrupts, interrupt_ns, touched, root_record]
+ *   node.counts  = [dispatches, preemptions, blocks, wakes, charges,
+ *                   service_work, overhead_ns, tag_updates, s_min, f_max,
+ *                   v_last, v_den]   (native schedstat; repro/obs/tally.py)
  *
  * Arithmetic: float-mode tag math runs on C doubles, which is exact
  * w.r.t. CPython because ints below 2^53 convert exactly and IEEE
@@ -39,9 +43,15 @@ enum { ST_VT, ST_MF, ST_SRV, ST_RC, ST_DEN, ST_LEN };
 enum { CH_FLOAT, CH_SOLO, CH_HEAP, CH_STATE, CH_START, CH_FIN,
        CH_RUN, CH_VER, CH_SEQ, CH_SLOT, CH_ENTITY, CH_PARENT, CH_LEN };
 
+enum { T_EVENTS, T_INTERRUPTS, T_INTERRUPT_NS, T_TOUCHED, T_ROOT, T_LEN };
+
+enum { R_DISPATCHES, R_PREEMPTIONS, R_BLOCKS, R_WAKES, R_CHARGES,
+       R_SERVICE, R_OVERHEAD, R_TAG_UPDATES, R_S_MIN, R_F_MAX, R_V_LAST,
+       R_V_DEN, R_LEN };
+
 /* interned attribute names, created at module init */
 static PyObject *str_cview, *str_weight, *str_runnable,
-    *str_queue, *str_parent;
+    *str_queue, *str_parent, *str_counts;
 /* repro.errors.SchedulingError, resolved at module init */
 static PyObject *SchedulingError;
 /* cached small ints */
@@ -856,14 +866,201 @@ sfqc_queue_set_blocked(PyObject *Py_UNUSED(module), PyObject *const *args,
     Py_RETURN_NONE;
 }
 
+/* ---- native schedstat counters ------------------------------------------
+ *
+ * Mirrors repro/obs/tally.py and sfq.tally_chain/tally_pick.  Every entry
+ * point that counts takes the tally as an optional argument; NULL (or
+ * Python None) means no collector is attached and nothing is counted. */
+
+static int
+check_tally(PyObject *tally)
+{
+    if (!PyList_Check(tally) || PyList_GET_SIZE(tally) != T_LEN ||
+        !PyList_Check(COL(tally, T_TOUCHED)) ||
+        !PyList_Check(COL(tally, T_ROOT)) ||
+        PyList_GET_SIZE(COL(tally, T_ROOT)) != R_LEN) {
+        PyErr_SetString(PyExc_TypeError, "malformed schedstat tally");
+        return -1;
+    }
+    return 0;
+}
+
+/* list[i] += delta (a new int object, as the Python `+=` makes) */
+static int
+list_iadd(PyObject *list, Py_ssize_t i, PyObject *delta)
+{
+    return col_store(list, i, PyNumber_Add(COL(list, i), delta));
+}
+
+static int
+tally_events(PyObject *tally, Py_ssize_t count)
+{
+    PyObject *delta = PyLong_FromSsize_t(count);
+    if (delta == NULL)
+        return -1;
+    int rc = list_iadd(tally, T_EVENTS, delta);
+    Py_DECREF(delta);
+    return rc;
+}
+
+/* tally.node_record: node.counts, created (and listed as touched) on
+ * first use.  Returns a new reference. */
+static PyObject *
+node_record(PyObject *tally, PyObject *node)
+{
+    PyObject *record = PyObject_GetAttr(node, str_counts);
+    if (record == NULL)
+        return NULL;
+    if (record == Py_None) {
+        Py_DECREF(record);
+        record = PyList_New(R_LEN);
+        if (record == NULL)
+            return NULL;
+        for (Py_ssize_t i = 0; i < R_LEN; i++) {
+            PyObject *init = i <= R_TAG_UPDATES ? long_zero : Py_None;
+            Py_INCREF(init);
+            PyList_SET_ITEM(record, i, init);
+        }
+        if (PyObject_SetAttr(node, str_counts, record) < 0 ||
+            PyList_Append(COL(tally, T_TOUCHED), node) < 0) {
+            Py_DECREF(record);
+            return NULL;
+        }
+        return record;
+    }
+    if (!PyList_Check(record) || PyList_GET_SIZE(record) != R_LEN) {
+        Py_DECREF(record);
+        PyErr_SetString(PyExc_TypeError, "malformed schedstat record");
+        return NULL;
+    }
+    return record;
+}
+
+/* record[R_V_LAST], record[R_V_DEN] = state[ST_VT], state[ST_DEN] */
+static int
+store_vtime(PyObject *record, PyObject *state)
+{
+    PyObject *vt = COL(state, ST_VT);
+    Py_INCREF(vt);
+    if (col_store(record, R_V_LAST, vt) < 0)
+        return -1;
+    PyObject *den = COL(state, ST_DEN);
+    Py_INCREF(den);
+    return col_store(record, R_V_DEN, den);
+}
+
+static int
+note_vtime(PyObject *tally, PyObject *node, PyObject *state)
+{
+    PyObject *record = node_record(tally, node);
+    if (record == NULL)
+        return -1;
+    int rc = store_vtime(record, state);
+    Py_DECREF(record);
+    return rc;
+}
+
+/* A tag as the events report it, float(Fraction(n, D)) == n / D; a new
+ * reference.  Float queues (D == 1) already hold that float. */
+static PyObject *
+reported_tag(PyObject *numerator, PyObject *den)
+{
+    int overflow = 0;
+    if (PyFloat_CheckExact(numerator) && PyLong_CheckExact(den) &&
+        PyLong_AsLongAndOverflow(den, &overflow) == 1 && !overflow) {
+        Py_INCREF(numerator);
+        return numerator;
+    }
+    return PyNumber_TrueDivide(numerator, den);
+}
+
+/* C twin of sfq.tally_chain over the first `levels` entries.  Entry i's
+ * parent is entry i+1's entity, so with vtimes each record is fetched
+ * once: a level's entity record also takes the level below's vtime. */
+static int
+tally_chain_impl(PyObject *chain, Py_ssize_t levels, PyObject *tally,
+                 int vtimes)
+{
+    if (check_tally(tally) < 0)
+        return -1;
+    PyObject *below = NULL; /* state whose vtime belongs to this entity */
+    for (Py_ssize_t i = 0; i < levels; i++) {
+        PyObject *entry = PyList_GET_ITEM(chain, i);
+        PyObject *state = PyTuple_GET_ITEM(entry, CH_STATE);
+        Py_ssize_t slot, updates;
+        if (as_ssize(PyTuple_GET_ITEM(entry, CH_SLOT), &slot) < 0)
+            return -1;
+        PyObject *record = node_record(tally,
+                                       PyTuple_GET_ITEM(entry, CH_ENTITY));
+        if (record == NULL)
+            return -1;
+        int rc = below != NULL ? store_vtime(record, below) : 0;
+        PyObject *finish = NULL;
+        if (rc == 0)
+            rc = as_ssize(COL(record, R_TAG_UPDATES), &updates);
+        if (rc == 0) {
+            finish = reported_tag(COL(PyTuple_GET_ITEM(entry, CH_FIN), slot),
+                                  COL(state, ST_DEN));
+            rc = finish == NULL ? -1 : 0;
+        }
+        if (rc == 0 && updates == 0) {
+            /* start tags never decrease: the first reported is the min */
+            rc = col_store(record, R_S_MIN, reported_tag(
+                COL(PyTuple_GET_ITEM(entry, CH_START), slot),
+                COL(state, ST_DEN)));
+            if (rc == 0) {
+                Py_INCREF(finish);
+                rc = col_store(record, R_F_MAX, finish);
+            }
+        }
+        else if (rc == 0) {
+            int higher = tag_gt(finish, COL(record, R_F_MAX));
+            if (higher < 0)
+                rc = -1;
+            else if (higher) {
+                Py_INCREF(finish);
+                rc = col_store(record, R_F_MAX, finish);
+            }
+        }
+        Py_XDECREF(finish);
+        if (rc == 0)
+            rc = col_store(record, R_TAG_UPDATES,
+                           PyLong_FromSsize_t(updates + 1));
+        Py_DECREF(record);
+        if (rc < 0)
+            return -1;
+        below = vtimes ? state : NULL;
+    }
+    if (below != NULL &&
+        note_vtime(tally, PyTuple_GET_ITEM(PyList_GET_ITEM(chain, levels - 1),
+                                           CH_PARENT), below) < 0)
+        return -1;
+    return tally_events(tally, vtimes ? 2 * levels : levels);
+}
+
+/* Python None -> NULL for the optional tally argument */
+static PyObject *
+tally_arg(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t index)
+{
+    if (nargs <= index || args[index] == Py_None)
+        return NULL;
+    return args[index];
+}
+
 /* ---- tree descent ------------------------------------------------------- */
 
 /* Min-start descent from root until a node of leaf_type is reached.
  * Returns a NEW reference to the leaf (or Py_None when some queue ran
- * empty mid-walk), with the decision depth in *depth_out. */
+ * empty mid-walk), with the decision depth in *depth_out.  With a tally,
+ * each level's virtual time is noted as sfq.tally_pick does (the level's
+ * queue is final once the descent leaves it); the caller counts the
+ * events (tally_descent). */
 static PyObject *
-pick_leaf_walk(PyObject *root, PyTypeObject *leaf_type, Py_ssize_t *depth_out)
+pick_leaf_walk(PyObject *root, PyTypeObject *leaf_type, Py_ssize_t *depth_out,
+               PyObject *tally)
 {
+    if (tally != NULL && check_tally(tally) < 0)
+        return NULL;
     PyObject *node = root;
     Py_INCREF(node);
     Py_ssize_t depth = 1;
@@ -892,6 +1089,12 @@ pick_leaf_walk(PyObject *root, PyTypeObject *leaf_type, Py_ssize_t *depth_out)
             *depth_out = depth;
             Py_RETURN_NONE;
         }
+        if (tally != NULL &&
+            note_vtime(tally, node, COL(cview, CV_STATE)) < 0) {
+            Py_DECREF(cview);
+            Py_DECREF(node);
+            return NULL;
+        }
         Py_INCREF(child);
         Py_DECREF(cview);
         Py_DECREF(node);
@@ -902,13 +1105,23 @@ pick_leaf_walk(PyObject *root, PyTypeObject *leaf_type, Py_ssize_t *depth_out)
     return node;
 }
 
+/* the events a successful counted descent of `depth` stands for: one
+ * virtual-time advance per internal level */
+static int
+tally_descent(PyObject *tally, PyObject *leaf, Py_ssize_t depth)
+{
+    if (tally == NULL || leaf == Py_None)
+        return 0;
+    return tally_events(tally, depth - 1);
+}
+
 static PyObject *
 sfqc_pick_leaf(PyObject *Py_UNUSED(module), PyObject *const *args,
                Py_ssize_t nargs)
 {
-    if (nargs != 2) {
+    if (nargs != 2 && nargs != 3) {
         PyErr_SetString(PyExc_TypeError,
-                        "pick_leaf expects (root, leaf_type)");
+                        "pick_leaf expects (root, leaf_type[, tally])");
         return NULL;
     }
     if (!PyType_Check(args[1])) {
@@ -916,9 +1129,15 @@ sfqc_pick_leaf(PyObject *Py_UNUSED(module), PyObject *const *args,
         return NULL;
     }
     Py_ssize_t depth = 0;
-    PyObject *leaf = pick_leaf_walk(args[0], (PyTypeObject *)args[1], &depth);
+    PyObject *tally = tally_arg(args, nargs, 2);
+    PyObject *leaf = pick_leaf_walk(args[0], (PyTypeObject *)args[1], &depth,
+                                    tally);
     if (leaf == NULL)
         return NULL;
+    if (tally_descent(tally, leaf, depth) < 0) {
+        Py_DECREF(leaf);
+        return NULL;
+    }
     PyObject *result = Py_BuildValue("On", leaf, depth);
     Py_DECREF(leaf);
     return result;
@@ -944,7 +1163,7 @@ check_chain(PyObject *chain)
 }
 
 static int
-charge_chain_impl(PyObject *chain, PyObject *length)
+charge_chain_impl(PyObject *chain, PyObject *length, PyObject *tally)
 {
     if (check_chain(chain) < 0)
         return -1;
@@ -978,6 +1197,8 @@ charge_chain_impl(PyObject *chain, PyObject *length)
                         solo, slot, finish) < 0)
             return -1;
     }
+    if (tally != NULL)
+        return tally_chain_impl(chain, PyList_GET_SIZE(chain), tally, 1);
     return 0;
 }
 
@@ -985,21 +1206,22 @@ static PyObject *
 sfqc_charge_chain(PyObject *Py_UNUSED(module), PyObject *const *args,
                   Py_ssize_t nargs)
 {
-    if (nargs != 2) {
+    if (nargs != 2 && nargs != 3) {
         PyErr_SetString(PyExc_TypeError,
-                        "charge_chain expects (chain, length)");
+                        "charge_chain expects (chain, length[, tally])");
         return NULL;
     }
-    if (charge_chain_impl(args[0], args[1]) < 0)
+    if (charge_chain_impl(args[0], args[1], tally_arg(args, nargs, 2)) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
 
 static int
-wake_chain_impl(PyObject *chain)
+wake_chain_impl(PyObject *chain, PyObject *tally)
 {
     if (check_chain(chain) < 0)
         return -1;
+    Py_ssize_t levels = PyList_GET_SIZE(chain);
     for (Py_ssize_t i = 0; i < PyList_GET_SIZE(chain); i++) {
         PyObject *entry = PyList_GET_ITEM(chain, i);
         PyObject *state = PyTuple_GET_ITEM(entry, CH_STATE);
@@ -1047,18 +1269,28 @@ wake_chain_impl(PyObject *chain)
         Py_DECREF(flag);
         if (parent_runnable < 0)
             return -1;
-        if (parent_runnable)
-            return 0;
+        if (parent_runnable) {
+            levels = i + 1;
+            break;
+        }
         if (PyObject_SetAttr(parent, str_runnable, Py_True) < 0)
             return -1;
     }
+    if (tally != NULL)
+        return tally_chain_impl(chain, levels, tally, 0);
     return 0;
 }
 
 static PyObject *
-sfqc_wake_chain(PyObject *Py_UNUSED(module), PyObject *chain)
+sfqc_wake_chain(PyObject *Py_UNUSED(module), PyObject *const *args,
+                Py_ssize_t nargs)
 {
-    if (wake_chain_impl(chain) < 0)
+    if (nargs != 1 && nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "wake_chain expects (chain[, tally])");
+        return NULL;
+    }
+    if (wake_chain_impl(args[0], tally_arg(args, nargs, 1)) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -1133,6 +1365,10 @@ sfqc_sleep_chain(PyObject *Py_UNUSED(module), PyObject *chain)
  * to the exact Python method that owns the uncommon path:
  *
  *   - bus tracing active or a tracer attached  -> Machine._on_burst_complete
+ *
+ * A schedstat collector alone (BUS.tally set, BUS.active clear) keeps the
+ * turbo path: every site the Python methods count at is counted here too
+ * (thread_record / tally_events, plus the chain walks' own tallies).
  *   - schedsan wrapper / non-hierarchical top  -> per-call scheduler methods
  *   - non-SFQ leaf scheduler                   -> HierarchicalScheduler.*
  *   - costed dispatch model                    -> Machine._maybe_dispatch
@@ -1161,7 +1397,8 @@ static PyObject *str_active, *str_tracer, *str_engine, *str_now,
     *str_fired, *str_callback, *str_arg, *str_cancelled, *str_time,
     *str_priority, *str_seq_attr, *str_turbo_wake, *str_wakeups,
     *str_transition, *str_last_runnable_at, *str_thread_runnable,
-    *str_preempt_policy, *str_should_preempt, *str_preempt_current;
+    *str_preempt_policy, *str_should_preempt, *str_preempt_current,
+    *str_tally;
 static PyObject *long_neg_one, *long_second, *empty_tuple;
 
 /* lazily resolved classes/objects (the repro modules that define them
@@ -1359,6 +1596,68 @@ outcome_code(PyObject *outcome)
     return OC_OTHER; /* mirrors the Python else-branches */
 }
 
+/* BUS.tally, or NULL (no collector attached) with no error set; a new
+ * reference otherwise.  *failed is set on error. */
+static PyObject *
+bus_tally(int *failed)
+{
+    PyObject *tally = PyObject_GetAttr(BUS_obj, str_tally);
+    *failed = (tally == NULL);
+    if (tally == Py_None) {
+        Py_DECREF(tally);
+        return NULL;
+    }
+    return tally;
+}
+
+/* tally.thread_record: count one lifecycle event of thread; returns a
+ * new reference to its leaf's record (the root record with no leaf) */
+static PyObject *
+thread_record(PyObject *tally, PyObject *thread)
+{
+    if (check_tally(tally) < 0 || list_iadd(tally, T_EVENTS, long_one) < 0)
+        return NULL;
+    PyObject *leaf = PyObject_GetAttr(thread, str_leaf);
+    if (leaf == NULL)
+        return NULL;
+    PyObject *record;
+    if (leaf == Py_None) {
+        record = COL(tally, T_ROOT);
+        Py_INCREF(record);
+    }
+    else
+        record = node_record(tally, leaf);
+    Py_DECREF(leaf);
+    return record;
+}
+
+/* count one lifecycle event of thread that bumps one record field */
+static int
+tally_thread(PyObject *tally, PyObject *thread, Py_ssize_t field,
+             PyObject *delta)
+{
+    PyObject *record = thread_record(tally, thread);
+    if (record == NULL)
+        return -1;
+    int rc = list_iadd(record, field, delta);
+    Py_DECREF(record);
+    return rc;
+}
+
+/* count a charge of `work` to thread: one event, two record fields */
+static int
+tally_charge(PyObject *tally, PyObject *thread, PyObject *work)
+{
+    PyObject *record = thread_record(tally, thread);
+    if (record == NULL)
+        return -1;
+    int rc = list_iadd(record, R_CHARGES, long_one);
+    if (rc == 0)
+        rc = list_iadd(record, R_SERVICE, work);
+    Py_DECREF(record);
+    return rc;
+}
+
 /* HierarchicalScheduler._chain_for, with the cache hit done inline */
 static PyObject *
 chain_for(PyObject *sched, PyObject *leaf)
@@ -1410,7 +1709,8 @@ chain_for(PyObject *sched, PyObject *leaf)
  * scheduler's own charge() for anything that is not an SFQ leaf under
  * the hierarchical scheduler. */
 static int
-h_charge(PyObject *sched, PyObject *thread, PyObject *work, PyObject *now)
+h_charge(PyObject *sched, PyObject *thread, PyObject *work, PyObject *now,
+         PyObject *tally)
 {
     if (Py_TYPE(sched) != HierType)
         return call3(sched, str_charge, thread, work, now);
@@ -1447,7 +1747,7 @@ h_charge(PyObject *sched, PyObject *thread, PyObject *work, PyObject *now)
     Py_DECREF(leaf);
     if (chain == NULL)
         return -1;
-    rc = charge_chain_impl(chain, work);
+    rc = charge_chain_impl(chain, work, tally);
     Py_DECREF(chain);
     return rc;
 }
@@ -1623,13 +1923,15 @@ fail_queue:
     return NULL;
 }
 
-/* Machine._schedule_wakeup with tracing known to be off: schedule the
- * compiled wake entry (or _on_wakeup when no turbo is installed) and
- * store the handle on the thread. */
+/* Machine._schedule_wakeup with tracing known to be off: count the
+ * block, schedule the compiled wake entry (or _on_wakeup when no turbo
+ * is installed) and store the handle on the thread. */
 static int
 schedule_wake(PyObject *machine, PyObject *engine, PyObject *thread,
-              PyObject *wake)
+              PyObject *wake, PyObject *tally)
 {
+    if (tally != NULL && tally_thread(tally, thread, R_BLOCKS, long_one) < 0)
+        return -1;
     PyObject *wake_cb = PyObject_GetAttr(machine, str_turbo_wake);
     if (wake_cb == NULL)
         return -1;
@@ -1661,7 +1963,8 @@ schedule_wake(PyObject *machine, PyObject *engine, PyObject *thread,
 
 /* _account_burst(self._burst_planned), with tracing known to be off */
 static int
-tick_account(PyObject *machine, PyObject *cur, PyObject *now)
+tick_account(PyObject *machine, PyObject *cur, PyObject *now,
+             PyObject *tally)
 {
     PyObject *planned = PyObject_GetAttr(machine, str_burst_planned);
     if (planned == NULL)
@@ -1739,6 +2042,8 @@ tick_account(PyObject *machine, PyObject *cur, PyObject *now)
         if (rc < 0)
             goto fail;
     }
+    if (tally != NULL && tally_events(tally, 1) < 0) /* the slice */
+        goto fail;
     Py_DECREF(planned);
     return 0;
 fail:
@@ -1751,7 +2056,7 @@ fail:
  * includes the graceful fallbacks to Python) or -1 with an exception. */
 static int
 tick_dispatch(PyObject *machine, PyObject *engine, PyObject *sched,
-              PyObject *now)
+              PyObject *now, PyObject *tally)
 {
     PyObject *check = PyObject_GetAttr(machine, str_current);
     if (check == NULL)
@@ -1809,10 +2114,14 @@ tick_dispatch(PyObject *machine, PyObject *engine, PyObject *sched,
         }
     }
     Py_ssize_t depth = 0;
-    PyObject *leaf = pick_leaf_walk(root, LeafNodeType, &depth);
+    PyObject *leaf = pick_leaf_walk(root, LeafNodeType, &depth, tally);
     Py_DECREF(root);
     if (leaf == NULL)
         return -1;
+    if (tally_descent(tally, leaf, depth) < 0) {
+        Py_DECREF(leaf);
+        return -1;
+    }
     if (leaf == Py_None) {
         /* empty queue mid-descent: the Python re-walk raises the
          * standard diagnostic (the descent so far is idempotent) */
@@ -1917,7 +2226,11 @@ tick_dispatch(PyObject *machine, PyObject *engine, PyObject *sched,
         if (rc < 0)
             goto fail_quantum;
         /* stats.overhead_time += 0 elided: the zero-cost model was
-         * verified above, so the value cannot change */
+         * verified above, so the value cannot change (nor can the
+         * record's overhead_ns) */
+        if (tally != NULL &&
+            tally_thread(tally, thread, R_DISPATCHES, long_one) < 0)
+            goto fail_quantum;
     }
     PyObject *capacity = PyObject_GetAttr(machine, str_capacity_ips);
     if (capacity == NULL)
@@ -2077,11 +2390,15 @@ machine_tick_impl(PyObject *machine)
                                               NULL);
     }
     PyObject *engine = NULL, *now = NULL, *cur = NULL, *sched = NULL;
-    PyObject *wake = NULL;
+    PyObject *wake = NULL, *tally = NULL;
     int outcome = OC_RUN;
+    int failed;
+    tally = bus_tally(&failed);
+    if (failed)
+        return NULL;
     engine = PyObject_GetAttr(machine, str_engine);
     if (engine == NULL)
-        return NULL;
+        goto fail;
     now = PyObject_GetAttr(engine, str_now);
     if (now == NULL)
         goto fail;
@@ -2090,6 +2407,7 @@ machine_tick_impl(PyObject *machine)
         goto fail;
     if (cur == Py_None) {
         /* no dispatch in flight: the Python handler owns the assertion */
+        Py_XDECREF(tally);
         Py_DECREF(engine);
         Py_DECREF(now);
         Py_DECREF(cur);
@@ -2098,7 +2416,7 @@ machine_tick_impl(PyObject *machine)
     }
     if (PyObject_SetAttr(machine, str_burst_handle, Py_None) < 0)
         goto fail;
-    if (tick_account(machine, cur, now) < 0)
+    if (tick_account(machine, cur, now, tally) < 0)
         goto fail;
     /* ---- _finish_dispatch ------------------------------------------- */
     if (PyObject_SetAttr(machine, str_current, Py_None) < 0 ||
@@ -2179,8 +2497,10 @@ machine_tick_impl(PyObject *machine)
             goto fail;
         int charged = PyObject_RichCompareBool(quantum_done, long_zero,
                                                Py_GT);
-        if (charged > 0)
-            charged = (h_charge(sched, cur, quantum_done, now) < 0) ? -1 : 0;
+        if (charged > 0 &&
+            (h_charge(sched, cur, quantum_done, now, tally) < 0 ||
+             (tally != NULL && tally_charge(tally, cur, quantum_done) < 0)))
+            charged = -1;
         Py_DECREF(quantum_done);
         if (charged < 0)
             goto fail;
@@ -2191,11 +2511,14 @@ machine_tick_impl(PyObject *machine)
     if (outcome == OC_SLEEP) {
         if (h_thread_blocked(sched, cur, now) < 0)
             goto fail;
-        if (schedule_wake(machine, engine, cur, wake) < 0)
+        if (schedule_wake(machine, engine, cur, wake, tally) < 0)
             goto fail;
     }
     else if (outcome == OC_WAIT) {
         if (h_thread_blocked(sched, cur, now) < 0)
+            goto fail;
+        if (tally != NULL &&
+            tally_thread(tally, cur, R_BLOCKS, long_one) < 0)
             goto fail;
     }
     else if (outcome == OC_EXIT) {
@@ -2208,11 +2531,14 @@ machine_tick_impl(PyObject *machine)
             goto fail;
         if (holding && call1(machine, str_release_held_mutexes, cur) < 0)
             goto fail;
+        if (tally != NULL && tally_events(tally, 1) < 0) /* the exit */
+            goto fail;
         if (call2(sched, str_retire, cur, now) < 0)
             goto fail;
     }
-    if (tick_dispatch(machine, engine, sched, now) < 0)
+    if (tick_dispatch(machine, engine, sched, now, tally) < 0)
         goto fail;
+    Py_XDECREF(tally);
     Py_DECREF(engine);
     Py_DECREF(now);
     Py_DECREF(cur);
@@ -2220,6 +2546,7 @@ machine_tick_impl(PyObject *machine)
     Py_DECREF(wake);
     Py_RETURN_NONE;
 fail:
+    Py_XDECREF(tally);
     Py_XDECREF(engine);
     Py_XDECREF(now);
     Py_XDECREF(cur);
@@ -2252,7 +2579,8 @@ thread_to_runnable(PyObject *thread)
 
 /* HierarchicalScheduler.thread_runnable: on_runnable + setrun */
 static int
-h_thread_runnable(PyObject *sched, PyObject *thread, PyObject *now)
+h_thread_runnable(PyObject *sched, PyObject *thread, PyObject *now,
+                  PyObject *tally)
 {
     if (Py_TYPE(sched) != HierType)
         return call2(sched, str_thread_runnable, thread, now);
@@ -2307,7 +2635,7 @@ h_thread_runnable(PyObject *sched, PyObject *thread, PyObject *now)
             if (chain == NULL)
                 rc = -1;
             else {
-                rc = wake_chain_impl(chain);
+                rc = wake_chain_impl(chain, tally);
                 Py_DECREF(chain);
             }
         }
@@ -2320,13 +2648,15 @@ h_thread_runnable(PyObject *sched, PyObject *thread, PyObject *now)
  * trailing preempt check and re-dispatch. */
 static int
 wake_make_runnable(PyObject *machine, PyObject *engine, PyObject *sched,
-                   PyObject *thread, PyObject *now)
+                   PyObject *thread, PyObject *now, PyObject *tally)
 {
     if (thread_to_runnable(thread) < 0)
         return -1;
     if (PyObject_SetAttr(thread, str_last_runnable_at, now) < 0)
         return -1;
-    if (h_thread_runnable(sched, thread, now) < 0)
+    if (tally != NULL && tally_events(tally, 1) < 0) /* runnable */
+        return -1;
+    if (h_thread_runnable(sched, thread, now, tally) < 0)
         return -1;
     PyObject *cur = PyObject_GetAttr(machine, str_current);
     if (cur == NULL)
@@ -2379,13 +2709,13 @@ wake_make_runnable(PyObject *machine, PyObject *engine, PyObject *sched,
         }
     }
     Py_DECREF(cur);
-    return tick_dispatch(machine, engine, sched, now);
+    return tick_dispatch(machine, engine, sched, now, tally);
 }
 
 /* Machine._settle with tracing known to be off */
 static int
 wake_settle(PyObject *machine, PyObject *engine, PyObject *sched,
-            PyObject *thread, PyObject *now)
+            PyObject *thread, PyObject *now, PyObject *tally)
 {
     PyObject *result = PyObject_CallMethodObjArgs(
         machine, str_advance_workload, thread, NULL);
@@ -2403,7 +2733,7 @@ wake_settle(PyObject *machine, PyObject *engine, PyObject *sched,
     Py_DECREF(result);
     int rc = 0;
     if (outcome == OC_RUN) {
-        rc = wake_make_runnable(machine, engine, sched, thread, now);
+        rc = wake_make_runnable(machine, engine, sched, thread, now, tally);
     }
     else if (outcome == OC_SLEEP || outcome == OC_WAIT) {
         PyObject *state = PyObject_GetAttr(thread, str_state);
@@ -2417,7 +2747,9 @@ wake_settle(PyObject *machine, PyObject *engine, PyObject *sched,
                 rc = call1(thread, str_transition, TS_SLEEPING);
         }
         if (rc == 0 && outcome == OC_SLEEP)
-            rc = schedule_wake(machine, engine, thread, wake);
+            rc = schedule_wake(machine, engine, thread, wake, tally);
+        if (rc == 0 && outcome == OC_WAIT && tally != NULL)
+            rc = tally_thread(tally, thread, R_BLOCKS, long_one);
     }
     else {
         rc = call1(thread, str_transition, TS_EXITED);
@@ -2443,6 +2775,8 @@ wake_settle(PyObject *machine, PyObject *engine, PyObject *sched,
                     rc = call1(machine, str_release_held_mutexes, thread);
             }
         }
+        if (rc == 0 && tally != NULL)
+            rc = tally_events(tally, 1); /* the exit */
         if (rc == 0)
             rc = call2(sched, str_retire, thread, now);
     }
@@ -2485,23 +2819,34 @@ sfqc_machine_wake(PyObject *Py_UNUSED(module), PyObject *pair)
             return PyObject_CallMethodObjArgs(machine, str_on_wakeup,
                                               thread, NULL);
     }
-    if (PyObject_SetAttr(thread, str_wakeup_handle, Py_None) < 0)
+    int failed;
+    PyObject *tally = bus_tally(&failed);
+    if (failed)
         return NULL;
+    if (PyObject_SetAttr(thread, str_wakeup_handle, Py_None) < 0) {
+        Py_XDECREF(tally);
+        return NULL;
+    }
     {
         PyObject *tstats = PyObject_GetAttr(thread, str_stats);
-        if (tstats == NULL)
+        int rc = tstats == NULL ? -1 : attr_iadd(tstats, str_wakeups, long_one);
+        Py_XDECREF(tstats);
+        if (rc == 0 && tally != NULL)
+            rc = tally_thread(tally, thread, R_WAKES, long_one);
+        if (rc < 0) {
+            Py_XDECREF(tally);
             return NULL;
-        int rc = attr_iadd(tstats, str_wakeups, long_one);
-        Py_DECREF(tstats);
-        if (rc < 0)
-            return NULL;
+        }
     }
     PyObject *engine = PyObject_GetAttr(machine, str_engine);
-    if (engine == NULL)
+    if (engine == NULL) {
+        Py_XDECREF(tally);
         return NULL;
+    }
     PyObject *now = PyObject_GetAttr(engine, str_now);
     PyObject *sched = now ? PyObject_GetAttr(machine, str_scheduler) : NULL;
     if (sched == NULL) {
+        Py_XDECREF(tally);
         Py_XDECREF(now);
         Py_DECREF(engine);
         return NULL;
@@ -2517,10 +2862,12 @@ sfqc_machine_wake(PyObject *Py_UNUSED(module), PyObject *pair)
         if (has_work < 0)
             rc = -1;
         else if (has_work)
-            rc = wake_make_runnable(machine, engine, sched, thread, now);
+            rc = wake_make_runnable(machine, engine, sched, thread, now,
+                                    tally);
         else
-            rc = wake_settle(machine, engine, sched, thread, now);
+            rc = wake_settle(machine, engine, sched, thread, now, tally);
     }
+    Py_XDECREF(tally);
     Py_DECREF(sched);
     Py_DECREF(now);
     Py_DECREF(engine);
@@ -2660,7 +3007,8 @@ static PyMethodDef sfqc_methods[] = {
     {"charge_chain", (PyCFunction)(void (*)(void))sfqc_charge_chain,
      METH_FASTCALL,
      "Charge every level of a precomputed ancestor chain."},
-    {"wake_chain", (PyCFunction)sfqc_wake_chain, METH_O,
+    {"wake_chain", (PyCFunction)(void (*)(void))sfqc_wake_chain,
+     METH_FASTCALL,
      "Propagate leaf eligibility up a precomputed ancestor chain."},
     {"sleep_chain", (PyCFunction)sfqc_sleep_chain, METH_O,
      "Propagate leaf idleness up a precomputed ancestor chain."},
@@ -2692,6 +3040,8 @@ static struct {
     {&str_runnable, "runnable"},
     {&str_queue, "queue"},
     {&str_parent, "parent"},
+    {&str_counts, "counts"},
+    {&str_tally, "tally"},
     {&str_active, "active"},
     {&str_tracer, "tracer"},
     {&str_engine, "engine"},

@@ -25,6 +25,8 @@ from repro.core.sfq import (
     queue_pick,
     queue_set_runnable,
     sleep_chain,
+    tally_chain,
+    tally_pick,
     wake_chain,
 )
 from repro.core.structure import SchedulingStructure
@@ -122,8 +124,10 @@ class HierarchicalScheduler(TopScheduler):
                 node = child
                 depth += 1
             leaf = require_leaf(node)
+            if _BUS.tally is not None:
+                tally_pick(leaf, depth, _BUS.tally)
         else:
-            leaf, depth = pick_leaf(root, LeafNode)
+            leaf, depth = pick_leaf(root, LeafNode, _BUS.tally)
             if leaf is None:
                 # Re-walk with the method API for the standard diagnostic.
                 node = root
@@ -158,10 +162,14 @@ class HierarchicalScheduler(TopScheduler):
                 _BUS.emit(obs.VTIME_ADVANCE, now, node=parent.path,
                           v=float(parent.queue.virtual_time))
                 node = parent
+            if _BUS.tally is not None:
+                tally_chain(self._chain_for(leaf), _BUS.tally, True)
             return
         # Traced-off hot path: charge the static ancestor chain in one call
-        # (same levels, same order, same arithmetic as the walk above).
-        charge_chain(self._chain_for(leaf), work)
+        # (same levels, same order, same arithmetic as the walk above),
+        # counting into the native schedstat records when a collector is
+        # attached.
+        charge_chain(self._chain_for(leaf), work, _BUS.tally)
 
     def _chain_for(self, leaf: LeafNode) -> list:
         """The cached ancestor chain of ``leaf``, rebuilt on tree changes."""
@@ -203,6 +211,7 @@ class HierarchicalScheduler(TopScheduler):
         leaf.runnable = True
         if _BUS.active:
             node: Node = leaf
+            levels = 0
             while node.parent is not None:
                 parent = node.parent
                 queue_set_runnable(parent.queue, node)
@@ -210,12 +219,15 @@ class HierarchicalScheduler(TopScheduler):
                           start=float(parent.queue.start_tag(node)),
                           finish=float(parent.queue.finish_tag(node)),
                           work=0)
+                levels += 1
                 if parent.runnable:
                     break
                 parent.runnable = True
                 node = parent
+            if _BUS.tally is not None:
+                tally_chain(self._chain_for(leaf)[:levels], _BUS.tally, False)
             return
-        wake_chain(self._chain_for(leaf))
+        wake_chain(self._chain_for(leaf), _BUS.tally)
 
     def sleep(self, leaf: LeafNode) -> None:
         """Mark ``leaf`` idle and propagate up while ancestors become idle."""

@@ -23,7 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class Node:
     """Common state for internal and leaf nodes."""
 
-    __slots__ = ("name", "weight", "parent", "node_id", "runnable", "path")
+    __slots__ = ("name", "weight", "parent", "node_id", "runnable", "path",
+                 "counts")
 
     def __init__(self, name: str, weight: int,
                  parent: Optional["InternalNode"]) -> None:
@@ -36,6 +37,9 @@ class Node:
         self.parent = parent
         self.node_id = -1  # assigned by SchedulingStructure
         self.runnable = False
+        #: native schedstat record while a collector is attached and this
+        #: node has been counted since the last flush (repro.obs.tally)
+        self.counts = None
         #: absolute pathname, e.g. ``/best-effort/user1``.  Computed once:
         #: nodes never rename or reparent (hsfq has no rename; hsfq_move
         #: moves threads, not nodes), and traces read the path per event.

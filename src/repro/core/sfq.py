@@ -56,6 +56,15 @@ operations) are rebound to their C implementations at import time when
 ``REPRO_ENGINE=compiled`` — see ``repro/core/engine.py``.  The pure-python
 definitions below are the always-available fallback and the behavioural
 reference the compiled engine is gated against.
+
+Native schedstat counters
+-------------------------
+:func:`pick_leaf`, :func:`charge_chain` and :func:`wake_chain` take an
+optional ``tally`` (``BUS.tally`` while a schedstat collector is
+attached, see :mod:`repro.obs.tally`).  With one, they also count the
+``vtime-advance`` / ``tag-update`` events the traced walks would have
+emitted per level (:func:`tally_pick`, :func:`tally_chain`); without
+one they pay a single flag test per call.
 """
 
 from __future__ import annotations
@@ -69,6 +78,16 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.arena import SfqArena
 from repro.core.tags import EXACT, Tag, TagMath
 from repro.errors import SchedulingError
+from repro.obs.tally import (
+    R_F_MAX,
+    R_S_MIN,
+    R_TAG_UPDATES,
+    R_V_DEN,
+    R_V_LAST,
+    T_EVENTS,
+    T_TOUCHED,
+    new_record,
+)
 
 _arrival_seq = itertools.count()
 
@@ -456,7 +475,76 @@ def build_ancestor_chain(leaf: Any) -> List[ChainEntry]:
     return chain
 
 
-def charge_chain(chain: List[ChainEntry], length: int) -> None:
+def tally_chain(chain: List[ChainEntry], tally: List[Any],
+                vtimes: bool) -> None:
+    """Count the per-level events of a chain walk into native records.
+
+    Per entry: the child's tag update (its tags as they stand after the
+    walk) and, with ``vtimes``, the parent's virtual-time advance --
+    what the traced walks in
+    :class:`~repro.core.hierarchy.HierarchicalScheduler` emit as
+    ``tag-update`` / ``vtime-advance`` events (record layout:
+    :mod:`repro.obs.tally`).  Pass only the entries the walk visited.
+    Entry i's parent is entry i+1's entity, so each record is fetched
+    once: a level's entity record also takes the level below's vtime.
+    """
+    touched = tally[T_TOUCHED]
+    below = None  # the queue state whose vtime belongs to this entity
+    for (__, ___, ____, state, start_col, fin_col, _____, ______,
+         _______, slot, entity, parent) in chain:
+        record = entity.counts
+        if record is None:
+            record = entity.counts = new_record()
+            touched.append(entity)
+        if below is not None:
+            record[R_V_LAST] = below[_VT]
+            record[R_V_DEN] = below[_DEN]
+        # Tags are reported as float(Fraction(n, D)): n / D, correctly
+        # rounded.
+        finish = fin_col[slot] / state[_DEN]  # schedlint: disable=SL004
+        updates = record[R_TAG_UPDATES]
+        if not updates:
+            # start tags never decrease: the first reported is the minimum
+            record[R_S_MIN] = start_col[slot] / state[_DEN]  # schedlint: disable=SL004
+            record[R_F_MAX] = finish
+        elif finish > record[R_F_MAX]:
+            record[R_F_MAX] = finish
+        record[R_TAG_UPDATES] = updates + 1
+        if vtimes:
+            below = state
+    if below is not None:
+        record = parent.counts
+        if record is None:
+            record = parent.counts = new_record()
+            touched.append(parent)
+        record[R_V_LAST] = below[_VT]
+        record[R_V_DEN] = below[_DEN]
+    tally[T_EVENTS] += 2 * len(chain) if vtimes else len(chain)
+
+
+def tally_pick(leaf: Any, depth: int, tally: List[Any]) -> None:
+    """Count a descent's virtual-time advances: one per ancestor of ``leaf``.
+
+    The descent that picked ``leaf`` at ``depth`` passed exactly its
+    ancestors, and each reports its queue's virtual time as the pick
+    left it.
+    """
+    touched = tally[T_TOUCHED]
+    node = leaf.parent
+    while node is not None:
+        state = node.queue._state
+        record = node.counts
+        if record is None:
+            record = node.counts = new_record()
+            touched.append(node)
+        record[R_V_LAST] = state[_VT]
+        record[R_V_DEN] = state[_DEN]
+        node = node.parent
+    tally[T_EVENTS] += depth - 1
+
+
+def charge_chain(chain: List[ChainEntry], length: int,
+                 tally: Optional[List[Any]] = None) -> None:
     """Apply :meth:`SfqQueue.charge` along a precomputed ancestor chain.
 
     Semantically identical to calling ``queue.charge(entity, length)``
@@ -464,7 +552,8 @@ def charge_chain(chain: List[ChainEntry], length: int) -> None:
     dynamic weight changes keep Figure-11 behaviour — but with the per-call
     record lookups hoisted into the cached chain.  Preconditions (enforced
     by the machine and structure, not re-checked here): ``length >= 0``
-    and every entity registered with a positive weight.
+    and every entity registered with a positive weight.  With a ``tally``
+    (see :mod:`repro.obs.tally`) every level is also counted.
     """
     for (float_fast, solo, heap, state, start_col, fin_col, run_col,
          ver_col, seq_col, slot, entity, __) in chain:
@@ -488,15 +577,27 @@ def charge_chain(chain: List[ChainEntry], length: int) -> None:
             ver_col[slot] = version
             if solo < 0:
                 heappush(heap, (finish, seq_col[slot], version, slot))
+    if tally is not None:
+        tally_chain(chain, tally, True)
 
 
-def wake_chain(chain: List[ChainEntry]) -> None:
+def wake_chain(chain: List[ChainEntry],
+               tally: Optional[List[Any]] = None) -> None:
     """Propagate leaf eligibility up a cached chain (``hsfq_setrun``).
 
     Per level: :meth:`SfqQueue.set_runnable` for the child, stopping after
     the first parent that was already runnable — exactly the walk in
-    :meth:`HierarchicalScheduler.setrun`.
+    :meth:`HierarchicalScheduler.setrun`.  With a ``tally`` every level
+    walked is also counted.
     """
+    if tally is not None:
+        # The walk stops at the first parent that is already runnable, and
+        # it only ever sets the flags of parents before that one.
+        levels = len(chain)
+        for index, entry in enumerate(chain):
+            if entry[_CH_PARENT].runnable:
+                levels = index + 1
+                break
     for (__, solo, heap, state, start_col, fin_col, run_col,
          ver_col, seq_col, slot, ___, parent) in chain:
         if not run_col[slot]:
@@ -511,11 +612,15 @@ def wake_chain(chain: List[ChainEntry]) -> None:
             if solo < 0:
                 heappush(heap, (start, seq_col[slot], version, slot))
         if parent.runnable:
-            return
+            break
         parent.runnable = True
+    if tally is not None:
+        tally_chain(chain[:levels], tally, False)
 
 
-def pick_leaf(root: Any, leaf_type: type) -> Tuple[Optional[Any], int]:
+def pick_leaf(root: Any, leaf_type: type,
+              tally: Optional[List[Any]] = None
+              ) -> Tuple[Optional[Any], int]:
     """Descend from ``root``, picking the min-start child at every level.
 
     Inlines :meth:`SfqQueue.pick` per level (the per-dispatch descent is
@@ -525,7 +630,8 @@ def pick_leaf(root: Any, leaf_type: type) -> Tuple[Optional[Any], int]:
     to raise its usual diagnostic (pick is peek-like, so the partial
     descent's virtual-time updates match what the re-walk recomputes).
     ``leaf_type`` is passed in (the node classes live downstream of this
-    module); nodes are exactly ``InternalNode`` or ``leaf_type``.
+    module); nodes are exactly ``InternalNode`` or ``leaf_type``.  With a
+    ``tally`` a successful descent is also counted (:func:`tally_pick`).
     """
     node = root
     depth = 1
@@ -564,6 +670,8 @@ def pick_leaf(root: Any, leaf_type: type) -> Tuple[Optional[Any], int]:
             state[_VT] = start
         node = ent_col[slot]
         depth += 1
+    if tally is not None:
+        tally_pick(node, depth, tally)
     return node, depth
 
 

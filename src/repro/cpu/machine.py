@@ -34,6 +34,19 @@ from repro.cpu.interrupts import InterruptSource
 from repro.devtools.schedsan import maybe_wrap as _schedsan_wrap
 from repro.errors import SchedulingError, SimulationError, WorkloadError
 from repro.obs import events as obs
+from repro.obs.tally import (
+    R_BLOCKS,
+    R_CHARGES,
+    R_DISPATCHES,
+    R_OVERHEAD,
+    R_PREEMPTIONS,
+    R_SERVICE,
+    R_WAKES,
+    T_EVENTS,
+    T_INTERRUPT_NS,
+    T_INTERRUPTS,
+    thread_record,
+)
 from repro.sim.engine import Simulator
 from repro.sync.mutex import Acquire, Release
 from repro.sync.semaphore import Down, Notify, Up, WaitOn
@@ -44,7 +57,9 @@ from repro.units import MS, SECOND, work_from_time
 
 #: module-level alias of the process-wide bus: emit-site guards are on
 #: the per-dispatch hot path, and `_BUS.active` is one attribute lookup
-#: cheaper than `obs.BUS.active`.
+#: cheaper than `obs.BUS.active`.  Every site also counts into the native
+#: schedstat tally (`_BUS.tally`, see repro.obs.tally) when a collector is
+#: attached.
 _BUS = obs.BUS
 
 #: the compiled burst-completion tick (``None`` on the pure engine).  The
@@ -207,6 +222,8 @@ class Machine:
         self.scheduler.admit(thread)
         if self.tracer is not None:
             self.tracer.on_spawn(thread, now)
+        if _BUS.tally is not None:
+            _BUS.tally[T_EVENTS] += 1
         if _BUS.active:
             _BUS.emit(obs.SPAWN, now, tid=thread.tid, name=thread.name,
                          node=_leaf_path(thread), weight=thread.weight)
@@ -230,6 +247,8 @@ class Machine:
                 thread.transition(ThreadState.SLEEPING)
             if self.tracer is not None:
                 self.tracer.on_block(thread, now, -1)
+            if _BUS.tally is not None:
+                thread_record(_BUS.tally, thread)[R_BLOCKS] += 1
             if _BUS.active:
                 _BUS.emit(obs.BLOCK, now, tid=thread.tid,
                              node=_leaf_path(thread), wake=-1)
@@ -237,6 +256,8 @@ class Machine:
             thread.transition(ThreadState.EXITED)
             thread.stats.exited_at = now
             self._release_held_mutexes(thread)
+            if _BUS.tally is not None:
+                _BUS.tally[T_EVENTS] += 1
             if _BUS.active:
                 _BUS.emit(obs.EXIT, now, tid=thread.tid,
                              node=_leaf_path(thread))
@@ -301,6 +322,8 @@ class Machine:
         thread.last_runnable_at = now
         if self.tracer is not None:
             self.tracer.on_runnable(thread, now)
+        if _BUS.tally is not None:
+            _BUS.tally[T_EVENTS] += 1
         if _BUS.active:
             _BUS.emit(obs.RUNNABLE, now, tid=thread.tid,
                          node=_leaf_path(thread))
@@ -316,6 +339,8 @@ class Machine:
     def _schedule_wakeup(self, thread: SimThread, wake_time: int) -> None:
         if self.tracer is not None:
             self.tracer.on_block(thread, self.engine.now, wake_time)
+        if _BUS.tally is not None:
+            thread_record(_BUS.tally, thread)[R_BLOCKS] += 1
         if _BUS.active:
             _BUS.emit(obs.BLOCK, self.engine.now, tid=thread.tid,
                          node=_leaf_path(thread), wake=wake_time)
@@ -333,6 +358,8 @@ class Machine:
         thread.stats.wakeups += 1
         if self.tracer is not None:
             self.tracer.on_wake(thread, self.engine.now)
+        if _BUS.tally is not None:
+            thread_record(_BUS.tally, thread)[R_WAKES] += 1
         if _BUS.active:
             _BUS.emit(obs.WAKE, self.engine.now, tid=thread.tid,
                          node=_leaf_path(thread))
@@ -391,6 +418,11 @@ class Machine:
         self._quantum_work_done = 0
         if self.tracer is not None:
             self.tracer.on_dispatch(thread, now)
+        if _BUS.tally is not None:
+            record = thread_record(_BUS.tally, thread)
+            record[R_DISPATCHES] += 1
+            if overhead:
+                record[R_OVERHEAD] += overhead
         if _BUS.active:
             _BUS.emit(obs.DISPATCH, now, tid=thread.tid,
                          name=thread.name, node=_leaf_path(thread), cpu=0,
@@ -450,6 +482,8 @@ class Machine:
         self.stats.busy_time += elapsed
         if self.tracer is not None:
             self.tracer.on_slice(thread, self._burst_compute_start, now, executed)
+        if _BUS.tally is not None:
+            _BUS.tally[T_EVENTS] += 1
         if _BUS.active:
             _BUS.emit(obs.SLICE, now, tid=thread.tid, name=thread.name,
                          node=_leaf_path(thread), cpu=0,
@@ -488,6 +522,8 @@ class Machine:
         assert self.current is not None
         self.stats.preemptions += 1
         self.current.stats.preemptions += 1
+        if _BUS.tally is not None:
+            thread_record(_BUS.tally, self.current)[R_PREEMPTIONS] += 1
         if _BUS.active:
             _BUS.emit(obs.PREEMPT, self.engine.now, tid=self.current.tid,
                          node=_leaf_path(self.current))
@@ -528,6 +564,10 @@ class Machine:
             self.scheduler.charge(thread, self._quantum_work_done, now)
             if self.tracer is not None:
                 self.tracer.on_charge(thread, now, self._quantum_work_done)
+            if _BUS.tally is not None:
+                record = thread_record(_BUS.tally, thread)
+                record[R_CHARGES] += 1
+                record[R_SERVICE] += self._quantum_work_done
             if _BUS.active:
                 _BUS.emit(obs.CHARGE, now, tid=thread.tid,
                              node=_leaf_path(thread),
@@ -542,11 +582,15 @@ class Machine:
             self.scheduler.thread_blocked(thread, now)
             if self.tracer is not None:
                 self.tracer.on_block(thread, now, -1)
+            if _BUS.tally is not None:
+                thread_record(_BUS.tally, thread)[R_BLOCKS] += 1
             if _BUS.active:
                 _BUS.emit(obs.BLOCK, now, tid=thread.tid,
                              node=_leaf_path(thread), wake=-1)
         elif outcome == _OUTCOME_EXIT:
             self._release_held_mutexes(thread)
+            if _BUS.tally is not None:
+                _BUS.tally[T_EVENTS] += 1
             if _BUS.active:
                 _BUS.emit(obs.EXIT, now, tid=thread.tid,
                              node=_leaf_path(thread))
@@ -594,6 +638,11 @@ class Machine:
         self._intr_busy_until = busy_until
         if self.tracer is not None:
             self.tracer.on_interrupt(now, service)
+        tally = _BUS.tally
+        if tally is not None:
+            tally[T_EVENTS] += 1
+            tally[T_INTERRUPTS] += 1
+            tally[T_INTERRUPT_NS] += service
         if _BUS.active:
             _BUS.emit(obs.INTERRUPT, now, cpu=0, service=service)
         if self.current is not None:

@@ -15,6 +15,12 @@ subprocesses and byte-compares two probes per workload:
     machine, engine, and per-thread counter.  If a compiled fast path
     drops or double-counts anything, it shows up here.
 
+``schedstat-on``
+    The same untraced run with a :class:`~repro.obs.schedstat.SchedStat`
+    attached alone (hierarchical scenarios only): the turbo paths stay
+    engaged and count natively, and the dump adds the rendered
+    schedstat tree, so the compiled counter bumps are gated too.
+
 Workloads:
 
 ``figure5``
@@ -47,6 +53,7 @@ from repro.core.tags import FLOAT
 from repro.cpu.flat import FlatScheduler
 from repro.cpu.machine import Machine
 from repro.obs import events as obs
+from repro.obs.schedstat import SchedStat, render_schedstat
 from repro.schedulers.sfq_leaf import SfqScheduler
 from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
@@ -58,7 +65,10 @@ from repro.workloads.interactive import InteractiveWorkload
 __all__ = ["SCENARIOS", "PROBES", "emit", "run_gate", "main"]
 
 ENGINES = ("pure", "compiled")
-PROBES = ("trace", "schedstat")
+PROBES = ("trace", "schedstat", "schedstat-on")
+
+#: probes that only apply to some scenarios (default: every scenario)
+PROBE_SCENARIOS = {"schedstat-on": ("depth8",)}
 
 #: machine run produced by a scenario builder: (machine, threads, horizon)
 ScenarioRun = Tuple[Machine, List[SimThread], int]
@@ -146,10 +156,16 @@ def _trace_lines(builder: Callable[[], ScenarioRun]) -> List[str]:
     return lines
 
 
-def _schedstat_lines(builder: Callable[[], ScenarioRun]) -> List[str]:
+def _schedstat_lines(builder: Callable[[], ScenarioRun],
+                     collect: bool = False) -> List[str]:
     _reset_global_counters()
     machine, threads, horizon = builder()
-    machine.run_until(horizon)
+    collector = SchedStat()
+    if collect:
+        with obs.BUS.subscription(collector):
+            machine.run_until(horizon)
+    else:
+        machine.run_until(horizon)
     engine = machine.engine
     stats = machine.stats
     lines = [
@@ -174,6 +190,10 @@ def _schedstat_lines(builder: Callable[[], ScenarioRun]) -> List[str]:
                t.work_done, t.cpu_time, t.dispatches, t.preemptions,
                t.blocks, t.wakeups, t.segments_completed, t.exited_at,
                markers))
+    if collect:
+        # hierarchical scenarios only; SCHEDSAN's wrapper delegates it
+        structure = getattr(machine.scheduler, "structure")
+        lines.extend(render_schedstat(structure, collector).splitlines())
     return lines
 
 
@@ -184,6 +204,8 @@ def emit(scenario: str, probe: str) -> str:
         lines = _trace_lines(builder)
     elif probe == "schedstat":
         lines = _schedstat_lines(builder)
+    elif probe == "schedstat-on":
+        lines = _schedstat_lines(builder, collect=True)
     else:
         raise ValueError("unknown probe %r (expected one of %r)"
                          % (probe, PROBES))
@@ -215,10 +237,12 @@ def run_gate(out_dir: str, scenarios: List[str]) -> int:
     mismatches = 0
     for scenario in scenarios:
         for probe in PROBES:
+            if scenario not in PROBE_SCENARIOS.get(probe, (scenario,)):
+                continue
             pure = _run_cell("pure", scenario, probe)
             compiled = _run_cell("compiled", scenario, probe)
             if pure == compiled:
-                print("OK   %-8s %-9s %7d bytes identical"
+                print("OK   %-8s %-12s %7d bytes identical"
                       % (scenario, probe, len(pure)))
                 continue
             mismatches += 1
@@ -234,7 +258,7 @@ def run_gate(out_dir: str, scenarios: List[str]) -> int:
                 tofile="%s/%s compiled" % (scenario, probe))
             with open(base + ".diff", "w", encoding="utf-8") as handle:
                 handle.writelines(diff)
-            print("DIFF %-8s %-9s engines diverge -> %s.diff"
+            print("DIFF %-8s %-12s engines diverge -> %s.diff"
                   % (scenario, probe, base))
     return mismatches
 

@@ -171,9 +171,9 @@ class SchedsanScheduler(TopScheduler):
                  message: str) -> None:
         time = self._clock() if now is None else now
         violation = Violation(rule, path, time, message)
-        if obs.BUS.active:
-            obs.BUS.emit(obs.VIOLATION, time, rule=rule, node=path,
-                         message=message)
+        if obs.BUS.observed:
+            obs.BUS.publish(obs.VIOLATION, time, rule=rule, node=path,
+                            message=message)
         if len(self.violations) < MAX_COLLECTED:
             self.violations.append(violation)
         if self._mode == "raise":

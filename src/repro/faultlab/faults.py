@@ -85,9 +85,9 @@ class FaultContext:
                                     "action": action}
         entry.update(fields)
         self.log.append(entry)
-        if obs.BUS.active:
-            obs.BUS.emit(obs.FAULT_INJECT, self.engine.now, fault=fault,
-                         action=action, **fields)
+        if obs.BUS.observed:
+            obs.BUS.publish(obs.FAULT_INJECT, self.engine.now, fault=fault,
+                            action=action, **fields)
 
     def alive_threads(self) -> List["SimThread"]:
         """Threads not yet exited, in deterministic name order.

@@ -14,6 +14,18 @@ byte-identical to an un-instrumented build.  Subscribers are plain
 callables invoked synchronously, in subscription order, with one
 :class:`Event`; they must observe, never mutate, simulation state.
 
+*Collectors* -- subscribers with a ``fold_tally`` method, i.e.
+:class:`~repro.obs.schedstat.SchedStat` -- do not receive the per-event
+stream and do not set :attr:`EventBus.active`.  While one is attached the
+bus holds a native counter block, :attr:`EventBus.tally`
+(:mod:`repro.obs.tally`), which the machines and the hierarchy's chain
+walks bump directly, and folds it into the collectors whenever the
+collector set changes.  The few kinds no native counter covers (node
+creation and removal, thread moves, weight changes, SCHEDSAN violations,
+fault injections, and the fair-queuing baselines' tag events) reach
+collectors through :meth:`EventBus.publish`, guarded by
+:attr:`EventBus.observed`.
+
 The process-wide default bus is :data:`BUS`.  A module-level bus (rather
 than one plumbed through every constructor) mirrors how kernel tracepoints
 work and lets deeply nested components (SFQ queues, leaf schedulers) emit
@@ -25,6 +37,8 @@ from __future__ import annotations
 
 import contextlib
 from typing import Any, Callable, Dict, Iterator, List, Optional
+
+from repro.obs.tally import drain, new_tally
 
 # --- event kinds (the catalogue; see docs/OBSERVABILITY.md) ------------------
 
@@ -112,16 +126,26 @@ class EventBus:
     and must not silently swallow errors.
     """
 
-    __slots__ = ("_subscribers", "active", "_raw", "_raw_table")
+    __slots__ = ("_subscribers", "_collectors", "active", "observed",
+                 "tally", "_raw", "_raw_table")
 
     def __init__(self) -> None:
         self._subscribers: List[Subscriber] = []
-        #: True when at least one subscriber is attached.  A plain attribute
-        #: (not a property) kept in sync by subscribe/unsubscribe/clear: emit
-        #: sites sit on per-dispatch paths and guard with ``BUS.active``, so
-        #: the disabled cost must be a single attribute load — no descriptor
-        #: call, no list truth test.  Never assign it from outside the bus.
+        #: attached collectors (subscribers with a ``fold_tally`` method)
+        self._collectors: List[Any] = []
+        #: True when at least one event subscriber is attached.  A plain
+        #: attribute (not a property) kept in sync by subscribe/unsubscribe/
+        #: clear: emit sites sit on per-dispatch paths and guard with
+        #: ``BUS.active``, so the disabled cost must be a single attribute
+        #: load -- no descriptor call, no list truth test.  Never assign it
+        #: from outside the bus.
         self.active: bool = False
+        #: True when anything at all is attached (event subscriber or
+        #: collector): the guard of :meth:`publish` sites.
+        self.observed: bool = False
+        #: the native counter block (see :mod:`repro.obs.tally`) while a
+        #: collector is attached, else ``None``; hot sites bump it directly
+        self.tally: Optional[List[Any]] = None
         #: Raw-consumer fast path: when the *only* subscriber exposes an
         #: ``emit_raw(kind, time, data)`` method (the binlog writer does),
         #: emit hands it the fields directly and never allocates an Event.
@@ -146,23 +170,57 @@ class EventBus:
             self._raw = None
             self._raw_table = None
 
+    def _refresh_flags(self) -> None:
+        self.active = bool(self._subscribers)
+        self.observed = self.active or bool(self._collectors)
+        self._refresh_raw()
+
     def subscribe(self, subscriber: Subscriber) -> Subscriber:
-        """Attach ``subscriber`` (a callable taking one event); returns it."""
+        """Attach ``subscriber`` (a callable taking one event); returns it.
+
+        A collector (anything with a ``fold_tally`` method) is attached
+        to the native counters instead of the event stream.
+        """
         if not callable(subscriber):
             raise TypeError("subscriber must be callable, got %r" % (subscriber,))
-        self._subscribers.append(subscriber)
-        self.active = True
-        self._refresh_raw()
+        if hasattr(subscriber, "fold_tally"):
+            self.flush()
+            self._collectors.append(subscriber)
+            if self.tally is None:
+                self.tally = new_tally()
+        else:
+            self._subscribers.append(subscriber)
+        self._refresh_flags()
         return subscriber
 
     def unsubscribe(self, subscriber: Subscriber) -> None:
         """Detach ``subscriber``; unknown subscribers are ignored."""
-        try:
-            self._subscribers.remove(subscriber)
-        except ValueError:
-            pass
-        self.active = bool(self._subscribers)
-        self._refresh_raw()
+        if any(subscriber is collector for collector in self._collectors):
+            self.flush()
+            self._collectors = [collector for collector in self._collectors
+                                if collector is not subscriber]
+            if not self._collectors:
+                self.tally = None
+        else:
+            try:
+                self._subscribers.remove(subscriber)
+            except ValueError:
+                pass
+        self._refresh_flags()
+
+    def flush(self) -> None:
+        """Fold the native counters into every attached collector.
+
+        Runs whenever the collector set changes, so each collector's
+        counts cover exactly its own subscription window.  A no-op with
+        no collector attached.
+        """
+        tally = self.tally
+        if tally is None:
+            return
+        drained = drain(tally)
+        for collector in self._collectors:
+            collector.fold_tally(drained)
 
     @contextlib.contextmanager
     def subscription(self, subscriber: Subscriber) -> Iterator[Subscriber]:
@@ -180,24 +238,41 @@ class EventBus:
             self.unsubscribe(subscriber)
 
     def clear(self) -> None:
-        """Detach every subscriber (end-of-session cleanup)."""
+        """Detach every subscriber and collector (end-of-session cleanup)."""
+        self.flush()
         del self._subscribers[:]
-        self.active = False
-        self._raw = None
-        self._raw_table = None
+        self._collectors = []
+        self.tally = None
+        self._refresh_flags()
 
     def subscriber_count(self) -> int:
-        """How many subscribers are attached.
+        """How many subscribers (collectors included) are attached.
 
         SCHEDSAN's isolation guard fingerprints this to detect worker
         code leaking subscriptions across a pool merge.
         """
-        return len(self._subscribers)
+        return len(self._subscribers) + len(self._collectors)
+
+    def publish(self, kind: str, time: int, **data: Any) -> None:
+        """Deliver an event no native counter covers, to everyone attached.
+
+        Collectors fold it as one :class:`Event` (they count natively
+        everything the per-dispatch sites emit, so those sites use
+        :meth:`emit`); event subscribers get it as from :meth:`emit`.
+        Sites guard with :attr:`observed`.
+        """
+        if self._collectors:
+            event = Event(kind, time, data)
+            for collector in self._collectors:
+                collector(event)
+        if self.active:
+            self.emit(kind, time, **data)
 
     def emit(self, kind: str, time: int, **data: Any) -> None:
-        """Deliver ``Event(kind, time, data)`` to every subscriber.
+        """Deliver ``Event(kind, time, data)`` to every event subscriber.
 
-        A no-op when no subscriber is attached — but note the keyword dict
+        Collectors are not called (see :meth:`publish`).  A no-op when no
+        event subscriber is attached — but note the keyword dict
         has already been built by the call itself, which is why hot paths
         guard with :attr:`active` instead of calling unconditionally.
         """

@@ -22,6 +22,14 @@ text tree::
     with BUS.subscription(stats):
         machine.run_until(horizon)
     print(render_schedstat(structure, stats))
+
+Attached to the bus, a :class:`SchedStat` is a *collector*: the hot paths
+count into native per-node records (:mod:`repro.obs.tally`) and the bus
+folds them in through :meth:`SchedStat.fold_tally` when the subscription
+closes, so attaching one keeps the untraced fast paths.  Only the rare
+kinds no native counter covers arrive as events.  Calling the collector
+with events (:meth:`SchedStat.__call__`) is the offline path: binlog
+replay folds a recorded stream into the same numbers.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.obs import events as ev
+from repro.obs.tally import Drained
 
 
 def ancestor_paths(path: str) -> List[str]:
@@ -105,7 +114,7 @@ class NodeStats:
 
 
 class SchedStat:
-    """Event-bus subscriber accumulating per-node scheduling statistics.
+    """Bus collector accumulating per-node scheduling statistics.
 
     Thread-lifecycle events carry the leaf pathname of the thread involved;
     each is attributed to that leaf *and all its ancestors*, so an internal
@@ -172,6 +181,40 @@ class SchedStat:
         elif kind == ev.INTERRUPT:
             self.interrupts += 1
             self.interrupt_ns += data.get("service", 0)
+
+    def fold_tally(self, drained: Drained) -> None:
+        """Fold native counts (see :meth:`EventBus.flush`) into the table.
+
+        Produces exactly what folding the corresponding events one by one
+        would: lifecycle counts roll up to every ancestor, tag ranges
+        widen, and the last reported virtual time wins.
+        """
+        self.events_seen += drained.events
+        self.interrupts += drained.interrupts
+        self.interrupt_ns += drained.interrupt_ns
+        for path, lifecycle, tags, vtime in drained.rows:
+            if lifecycle is not None:
+                (dispatches, preemptions, blocks, wakes, charges, service,
+                 overhead) = lifecycle
+                for prefix in ancestor_paths(path):
+                    stats = self.node(prefix)
+                    stats.dispatches += dispatches
+                    stats.preemptions += preemptions
+                    stats.blocks += blocks
+                    stats.wakes += wakes
+                    stats.charges += charges
+                    stats.service_work += service
+                    stats.overhead_ns += overhead
+            if tags is not None:
+                updates, start, finish = tags
+                stats = self.node(path)
+                stats.tag_updates += updates
+                if stats.min_start is None or start < stats.min_start:
+                    stats.min_start = start
+                if stats.max_finish is None or finish > stats.max_finish:
+                    stats.max_finish = finish
+            if vtime is not None:
+                self.node(path).vtime = vtime
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able snapshot of the whole collector (node table included)."""

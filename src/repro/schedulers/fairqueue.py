@@ -35,8 +35,9 @@ from repro.schedulers.base import LeafScheduler
 from repro.units import SECOND
 
 #: module-level alias of the process-wide bus: emit-site guards are on
-#: the per-dispatch hot path, and `_BUS.active` is one attribute lookup
-#: cheaper than `obs.BUS.active`.
+#: the per-dispatch hot path, and `_BUS.observed` is one attribute lookup
+#: cheaper than `obs.BUS.observed`.  These tag events have no native
+#: counter, so they reach schedstat collectors through `publish`.
 _BUS = obs.BUS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -135,8 +136,8 @@ class _FairQueueBase(LeafScheduler):
         self._runnable += 1
         self._weight_sum += weight
         record.counted_weight = weight
-        if _BUS.active:
-            _BUS.emit(obs.TAG_UPDATE, now, node="fq:" + self.algorithm,
+        if _BUS.observed:
+            _BUS.publish(obs.TAG_UPDATE, now, node="fq:" + self.algorithm,
                          tid=thread.tid, start=record.start,
                          finish=record.finish, work=0)
 
@@ -174,8 +175,8 @@ class _FairQueueBase(LeafScheduler):
             record.start = max(virtual, record.finish)
             record.finish = record.start + self.assumed_quantum_work / weight
             self._push(record)
-            if _BUS.active:
-                _BUS.emit(obs.TAG_UPDATE, now,
+            if _BUS.observed:
+                _BUS.publish(obs.TAG_UPDATE, now,
                              node="fq:" + self.algorithm, tid=thread.tid,
                              start=record.start, finish=record.finish,
                              work=work)
@@ -243,8 +244,8 @@ class _RateClockMixin:
         if weight_sum > 0:
             elapsed = now - self._v_updated
             self._v += (elapsed * self.capacity_ips) / (SECOND * weight_sum)
-            if _BUS.active:
-                _BUS.emit(obs.VTIME_ADVANCE, now,
+            if _BUS.observed:
+                _BUS.publish(obs.VTIME_ADVANCE, now,
                              node="fq:" + self.algorithm, v=self._v)
         self._v_updated = now
 

@@ -25,6 +25,15 @@ from repro.cpu.interface import TopScheduler
 from repro.devtools.schedsan import maybe_wrap as _schedsan_wrap
 from repro.errors import SchedulingError, SimulationError, WorkloadError
 from repro.obs import events as obs
+from repro.obs.tally import (
+    R_BLOCKS,
+    R_CHARGES,
+    R_DISPATCHES,
+    R_SERVICE,
+    R_WAKES,
+    T_EVENTS,
+    thread_record,
+)
 from repro.sim.engine import Simulator
 from repro.sync.mutex import Acquire, Release
 from repro.sync.semaphore import Down, Notify, Up, WaitOn
@@ -127,6 +136,8 @@ class SmpMachine:
         self.scheduler.admit(thread)
         if self.tracer is not None:
             self.tracer.on_spawn(thread, self.engine.now)
+        if _BUS.tally is not None:
+            _BUS.tally[T_EVENTS] += 1
         if _BUS.active:
             _BUS.emit(obs.SPAWN, self.engine.now, tid=thread.tid,
                          name=thread.name, node=_leaf_path(thread),
@@ -147,6 +158,8 @@ class SmpMachine:
                 thread.transition(ThreadState.SLEEPING)
             if self.tracer is not None:
                 self.tracer.on_block(thread, now, -1)
+            if _BUS.tally is not None:
+                thread_record(_BUS.tally, thread)[R_BLOCKS] += 1
             if _BUS.active:
                 _BUS.emit(obs.BLOCK, now, tid=thread.tid,
                              node=_leaf_path(thread), wake=-1)
@@ -154,6 +167,8 @@ class SmpMachine:
             thread.transition(ThreadState.EXITED)
             thread.stats.exited_at = now
             self._release_held_mutexes(thread)
+            if _BUS.tally is not None:
+                _BUS.tally[T_EVENTS] += 1
             if _BUS.active:
                 _BUS.emit(obs.EXIT, now, tid=thread.tid,
                              node=_leaf_path(thread))
@@ -215,6 +230,8 @@ class SmpMachine:
         thread.last_runnable_at = now
         if self.tracer is not None:
             self.tracer.on_runnable(thread, now)
+        if _BUS.tally is not None:
+            _BUS.tally[T_EVENTS] += 1
         if _BUS.active:
             _BUS.emit(obs.RUNNABLE, now, tid=thread.tid,
                          node=_leaf_path(thread))
@@ -224,6 +241,8 @@ class SmpMachine:
     def _schedule_wakeup(self, thread: SimThread, wake_time: int) -> None:
         if self.tracer is not None:
             self.tracer.on_block(thread, self.engine.now, wake_time)
+        if _BUS.tally is not None:
+            thread_record(_BUS.tally, thread)[R_BLOCKS] += 1
         if _BUS.active:
             _BUS.emit(obs.BLOCK, self.engine.now, tid=thread.tid,
                          node=_leaf_path(thread), wake=wake_time)
@@ -235,6 +254,8 @@ class SmpMachine:
         thread.stats.wakeups += 1
         if self.tracer is not None:
             self.tracer.on_wake(thread, self.engine.now)
+        if _BUS.tally is not None:
+            thread_record(_BUS.tally, thread)[R_WAKES] += 1
         if _BUS.active:
             _BUS.emit(obs.WAKE, self.engine.now, tid=thread.tid,
                          node=_leaf_path(thread))
@@ -283,6 +304,8 @@ class SmpMachine:
         cpu.quantum_done = 0
         if self.tracer is not None:
             self.tracer.on_dispatch(thread, now)
+        if _BUS.tally is not None:
+            thread_record(_BUS.tally, thread)[R_DISPATCHES] += 1
         if _BUS.active:
             _BUS.emit(obs.DISPATCH, now, tid=thread.tid,
                          name=thread.name, node=_leaf_path(thread),
@@ -321,6 +344,8 @@ class SmpMachine:
         self.busy_time += elapsed
         if self.tracer is not None:
             self.tracer.on_slice(thread, cpu.burst_start, now, executed)
+        if _BUS.tally is not None:
+            _BUS.tally[T_EVENTS] += 1
         if _BUS.active:
             _BUS.emit(obs.SLICE, now, tid=thread.tid, name=thread.name,
                          node=_leaf_path(thread), cpu=cpu.index,
@@ -372,6 +397,10 @@ class SmpMachine:
             self.scheduler.charge(thread, cpu.quantum_done, now)
             if self.tracer is not None:
                 self.tracer.on_charge(thread, now, cpu.quantum_done)
+            if _BUS.tally is not None:
+                record = thread_record(_BUS.tally, thread)
+                record[R_CHARGES] += 1
+                record[R_SERVICE] += cpu.quantum_done
             if _BUS.active:
                 _BUS.emit(obs.CHARGE, now, tid=thread.tid,
                              node=_leaf_path(thread), work=cpu.quantum_done)
@@ -386,11 +415,15 @@ class SmpMachine:
         elif outcome == "wait":
             if self.tracer is not None:
                 self.tracer.on_block(thread, now, -1)
+            if _BUS.tally is not None:
+                thread_record(_BUS.tally, thread)[R_BLOCKS] += 1
             if _BUS.active:
                 _BUS.emit(obs.BLOCK, now, tid=thread.tid,
                              node=_leaf_path(thread), wake=-1)
         else:
             self._release_held_mutexes(thread)
+            if _BUS.tally is not None:
+                _BUS.tally[T_EVENTS] += 1
             if _BUS.active:
                 _BUS.emit(obs.EXIT, now, tid=thread.tid,
                              node=_leaf_path(thread))

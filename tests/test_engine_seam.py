@@ -105,7 +105,14 @@ class TestEnginediffProbes:
 
     def test_scenario_registry(self):
         assert set(enginediff.SCENARIOS) == {"figure5", "depth8"}
-        assert enginediff.PROBES == ("trace", "schedstat")
+        assert enginediff.PROBES == ("trace", "schedstat", "schedstat-on")
+        assert enginediff.PROBE_SCENARIOS == {"schedstat-on": ("depth8",)}
+
+    def test_schedstat_on_probe_renders_the_collector(self):
+        text = enginediff.emit("depth8", "schedstat-on")
+        assert text.startswith("engine events_fired=")
+        assert "schedstat-hsfq version 1" in text
+        assert "dispatches=" in text and "tags: S_min=" in text
 
     def test_trace_probe_collects_events(self):
         text = enginediff.emit("figure5", "trace")
