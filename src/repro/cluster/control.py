@@ -29,7 +29,8 @@ diverging.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+import collections
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.cluster.messages import Message, message
 from repro.cluster.placement import HostView, PlacementView, build_placement
@@ -89,8 +90,10 @@ class ControlTier:
         self.policy = build_placement(spec.policy)
         self._hosts: Dict[str, _HostModel] = {
             host.name: _HostModel(host) for host in spec.hosts}
-        self._arrivals = list(spec.arrivals(seed))
-        self._arrival_index = 0
+        #: the arrival schedule, drawn lazily by :meth:`draw_arrivals`
+        self._arrivals: Optional[Iterator[TenantSpec]] = spec.arrivals(seed)
+        #: drawn arrivals not yet admitted, in arrival order
+        self._drawn: Deque[TenantSpec] = collections.deque()
         self._pending: List[TenantSpec] = []
         self._churn = sorted(churn or (),
                              key=lambda event: (event[0], event[1], event[2]))
@@ -229,13 +232,29 @@ class ControlTier:
                     incarnation=model.incarnation, start_ns=barrier_ns))
         return out
 
+    def draw_arrivals(self, barrier_ns: int) -> None:
+        """Draw every tenant that arrives before ``barrier_ns``.
+
+        Drawing is admission's expensive part (one generator reseed per
+        tenant).  The run loop calls this while the shards simulate the
+        epoch, and :meth:`barrier` calls it again, so nothing depends on
+        whether the early call was made.
+        """
+        drawn = self._drawn
+        while self._arrivals is not None and (
+                not drawn or drawn[-1].arrival_ns < barrier_ns):
+            tenant = next(self._arrivals, None)
+            if tenant is None:
+                self._arrivals = None
+            else:
+                drawn.append(tenant)
+
     def _admit(self, barrier_ns: int) -> None:
         """Move tenants whose arrival time has passed into the pending queue."""
-        while (self._arrival_index < len(self._arrivals)
-               and self._arrivals[self._arrival_index].arrival_ns
-               < barrier_ns):
-            self._pending.append(self._arrivals[self._arrival_index])
-            self._arrival_index += 1
+        self.draw_arrivals(barrier_ns)
+        drawn = self._drawn
+        while drawn and drawn[0].arrival_ns < barrier_ns:
+            self._pending.append(drawn.popleft())
             self.counters["admitted"] += 1
 
     def _place(self, epoch: int, barrier_ns: int) -> List[Message]:

@@ -13,7 +13,9 @@ A :class:`HostSim` wraps a complete single-host simulation — integer-ns
 * :meth:`barrier_report` emits the host's outbox for the epoch —
   tenant exits and migrate-outs at their exact simulated times, then
   drain/load reports at the barrier instant — already in message sort
-  order.
+  order.  It scans only the tenants not yet reported out (the barrier
+  index), so a barrier costs work proportional to the tenants still
+  resident, not to every tenant the incarnation ever admitted.
 
 Migration and failover never teleport running state.  A migrating
 tenant's workload is wrapped so its next segment pull returns ``Exit``
@@ -33,6 +35,7 @@ from typing import Dict, List, Optional, Union
 from repro.cluster.messages import Message, message
 from repro.cluster.spec import HostSpec, TenantSpec, TenantWorkload, tenant_leaf
 from repro.core.hierarchy import HierarchicalScheduler
+from repro.core.node import Node
 from repro.core.structure import SchedulingStructure
 from repro.core.tags import FLOAT
 from repro.cpu.machine import Machine
@@ -108,7 +111,12 @@ class HostSim:
         self.stats = SchedStat()
         self._writer = (BinaryTraceWriter(trace_path)
                         if trace_path is not None else None)
+        #: every tenant this incarnation admitted, reported out or not
         self.tenants: Dict[str, _Tenant] = {}
+        #: the barrier index: the tenants not yet reported out
+        self._unreported: Dict[str, _Tenant] = {}
+        #: affinity group -> its leaf node, resolved on first use
+        self._leaves: Dict[str, Node] = {}
         self.draining = False
         self.frozen = False
         self._seq = 0
@@ -146,10 +154,15 @@ class HostSim:
         thread = SimThread(name, TenantWorkload(
             spec.total_work, spec.burst_work, spec.sleep_ns),
             weight=spec.weight)
-        leaf = self.structure.parse(tenant_leaf(self.spec, spec.group))
+        leaf = self._leaves.get(spec.group)
+        if leaf is None:
+            leaf = self.structure.parse(tenant_leaf(self.spec, spec.group))
+            self._leaves[spec.group] = leaf
         leaf.attach_thread(thread)
         self.machine.spawn(thread, at=int(directive["spawn_ns"]))  # type: ignore[call-overload]
-        self.tenants[name] = _Tenant(spec, thread)
+        tenant = _Tenant(spec, thread)
+        self.tenants[name] = tenant
+        self._unreported[name] = tenant
 
     def _apply_migrate(self, name: str) -> None:
         """Wrap a tenant so it exits (and reports out) at its next boundary."""
@@ -189,15 +202,22 @@ class HostSim:
         return msg
 
     def barrier_report(self, epoch: int, barrier_ns: int) -> List[Message]:
-        """This host's sorted outbox for the epoch ending at ``barrier_ns``."""
+        """This host's sorted outbox for the epoch ending at ``barrier_ns``.
+
+        Only the barrier index is scanned.  Once the exits are reported
+        every indexed tenant is alive, because a tenant leaves the index
+        exactly when it is reported out, and only an exit or a drain
+        reports one.
+        """
         if self.frozen:
             return []
         out: List[Message] = []
+        unreported = self._unreported
         exited = [(tenant.thread.stats.exited_at or 0, name)
-                  for name, tenant in self.tenants.items()
-                  if not tenant.reported and not tenant.thread.alive]
+                  for name, tenant in unreported.items()
+                  if not tenant.thread.alive]
         for exited_at, name in sorted(exited):
-            tenant = self.tenants[name]
+            tenant = unreported.pop(name)
             tenant.reported = True
             done = tenant.thread.stats.work_done
             remaining = max(0, tenant.spec.total_work - done)
@@ -207,10 +227,8 @@ class HostSim:
                 thread=name, attempt=tenant.spec.attempt,
                 work_done=done, remaining=remaining))
         if self.draining:
-            for name in sorted(self.tenants):
-                tenant = self.tenants[name]
-                if tenant.reported or not tenant.thread.alive:
-                    continue
+            for name in sorted(unreported):
+                tenant = unreported[name]
                 tenant.reported = True
                 done = tenant.thread.stats.work_done
                 out.append(self._emit(
@@ -218,16 +236,15 @@ class HostSim:
                     tenant=tenant.spec.name, thread=name,
                     attempt=tenant.spec.attempt, work_done=done,
                     remaining=max(0, tenant.spec.total_work - done)))
+            unreported.clear()
             out.append(self._emit(epoch, barrier_ns, "host-down"))
             self.draining = False
             self.frozen = True
             return out
-        alive = [tenant for tenant in self.tenants.values()
-                 if tenant.thread.alive]
         out.append(self._emit(
             epoch, barrier_ns, "host-load",
-            load=sum(tenant.spec.weight for tenant in alive),
-            alive=len(alive)))
+            load=sum(tenant.spec.weight for tenant in unreported.values()),
+            alive=len(unreported)))
         return out
 
     # --- teardown ---------------------------------------------------------

@@ -3,7 +3,8 @@
 :func:`run_cluster` drives one cluster simulation to its horizon:
 
 1. every shard advances its hosts to the next barrier and returns a
-   sorted outbox (:mod:`repro.cluster.shards`);
+   sorted outbox (:mod:`repro.cluster.shards`); while worker shards
+   run, the parent draws the tenants arriving by that barrier;
 2. the outboxes are merged with the validating k-way merge
    (:mod:`repro.cluster.messages`);
 3. the control tier folds the merged log, decides placements /
@@ -36,6 +37,9 @@ from repro.cluster.messages import (
 from repro.cluster.shards import make_shards
 from repro.cluster.spec import ClusterSpec
 from repro.obs.schedstat import SchedStat, merge_schedstats, render_schedstat_paths
+
+#: messages rendered per write in :meth:`ClusterResult._render_logs`
+_BLOCK = 2048
 
 
 class ClusterResult:
@@ -71,18 +75,27 @@ class ClusterResult:
         """Render every message once; hash (and optionally write) its line.
 
         Placement lines are the control tier's lines of the trace, so one
-        rendering serves both logs.  Returns every artifact's digest.
+        rendering serves both logs.  Lines are hashed and written a block
+        of :data:`_BLOCK` messages at a time: one write per block instead
+        of one per line, while the text held at once stays bounded.
+        Returns every artifact's digest.
         """
         trace, placement = hashlib.sha256(), hashlib.sha256()
-        for msg in self.log:
-            line = render_line(msg).encode("utf-8")
-            trace.update(line)
-            if trace_out is not None:
-                trace_out.write(line)
-            if msg["src"] == CTL_SRC:
-                placement.update(line)
-                if placement_out is not None:
-                    placement_out.write(line)
+        for start in range(0, len(self.log), _BLOCK):
+            trace_lines: List[str] = []
+            placement_lines: List[str] = []
+            for msg in self.log[start:start + _BLOCK]:
+                line = render_line(msg)
+                trace_lines.append(line)
+                if msg["src"] == CTL_SRC:
+                    placement_lines.append(line)
+            for digest, out, lines in (
+                    (trace, trace_out, trace_lines),
+                    (placement, placement_out, placement_lines)):
+                block = "".join(lines).encode("utf-8")
+                digest.update(block)
+                if out is not None:
+                    out.write(block)
         hosts_src = json.dumps(
             [{"key": host["key"], "digest": host["digest"]}
              for host in self.hosts],
@@ -160,8 +173,10 @@ def run_cluster(spec: ClusterSpec, seed: int, shards: int = 1,
     try:
         for epoch in range(spec.epochs):
             barrier_ns = (epoch + 1) * spec.epoch_ns
-            outboxes = pool.epoch(epoch, barrier_ns, directives)
-            merged = merge_outboxes(outboxes)
+            pool.send(epoch, barrier_ns, directives)
+            # drawn while worker shards simulate the epoch
+            control.draw_arrivals(barrier_ns)
+            merged = merge_outboxes(pool.gather())
             ctl = control.barrier(epoch, merged)
             log.extend(merged)
             log.extend(ctl)

@@ -4,9 +4,9 @@ A :class:`ClusterSpec` is a complete, JSON-able description of one
 cluster simulation: the host fleet, the tenant arrival schedule
 parameters, the placement policy, the epoch geometry, and an optional
 fault schedule (host churn).  Everything a shard worker needs to rebuild
-its bucket of hosts is derived from the spec plus the cluster seed, so
-worker processes receive only ``(scenario name, quick, seed, host
-names)`` and never pickle a live simulator.
+its bucket of hosts is derived from the spec, so a worker process
+receives the pickled :class:`ClusterSpec` and the names of its bucket's
+hosts, and never a live simulator.
 
 Host registration order is irrelevant by construction: the spec sorts
 hosts by name, and every derived quantity (seeds, leaf assignment,
@@ -16,6 +16,7 @@ cannot change a single output byte.
 
 from __future__ import annotations
 
+import random
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.sim.rng import Stream, derive_seed
@@ -231,14 +232,17 @@ class ClusterSpec:
         Arrival instants are evenly staggered over the arrival window
         (like perfkit's storm scenarios); weights and affinity groups
         draw from a ``Stream`` substream keyed by the tenant name, so
-        the schedule is independent of everything but ``seed``.
+        the schedule is independent of everything but ``seed``.  One
+        generator is reseeded per tenant, which draws exactly what
+        ``stream.rng(name)`` would without building a generator each time.
         """
         stream = Stream(seed, "cluster/%s" % self.name).substream("arrivals")
         window = self.arrival_window_epochs * self.epoch_ns
         digits = len(str(max(1, self.tenants - 1)))
+        rng = random.Random(0)  # reseeded for every tenant below
         for index in range(self.tenants):
             name = "t%0*d" % (digits, index)
-            rng = stream.rng(name)
+            rng.seed(derive_seed(stream.seed, name))
             yield TenantSpec(
                 name=name,
                 weight=rng.choice(self.tenant_weights),

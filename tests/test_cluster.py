@@ -27,7 +27,14 @@ from repro.cluster.scenario import (
     cluster_scenarios,
     mini_spec,
 )
-from repro.cluster.shards import partition_hosts
+from repro.cluster.shards import (
+    DirectiveRouter,
+    SerialShards,
+    ShardState,
+    host_base,
+    make_shards,
+    partition_hosts,
+)
 from repro.cluster.spec import (
     ClusterSpec,
     HostSpec,
@@ -111,6 +118,15 @@ class TestSpecs:
         host_b = HostSpec("b", groups=2, leaves=4)
         assert tenant_leaf(host_a, "g1") == tenant_leaf(host_b, "g1")
         assert tenant_leaf(host_a, "g1") in host_a.leaf_paths()
+
+    def test_arrivals_draw_what_a_fresh_stream_generator_draws(self):
+        """Reseeding one generator per tenant keeps the per-name draws."""
+        spec = small_spec(tenants=40, tenant_groups=7)
+        stream = Stream(3, "cluster/unit").substream("arrivals")
+        for tenant in spec.arrivals(3):
+            rng = stream.rng(tenant.name)
+            assert tenant.weight == rng.choice(spec.tenant_weights)
+            assert tenant.group == "g%03d" % rng.randrange(7)
 
     def test_arrivals_deterministic_and_windowed(self):
         spec = small_spec()
@@ -222,6 +238,95 @@ class TestPartition:
             partition_hosts(["a"], 0)
 
 
+class TestDirectiveRouting:
+    def test_router_keeps_log_order_per_owner(self):
+        router = DirectiveRouter([["a", "c"], ["b"]])
+        directives = [{"kind": "place", "host": "b", "n": 0},
+                      {"kind": "host-stop", "host": "c+1"},
+                      {"kind": "migrate-req", "host": "a", "thread": "t"},
+                      {"kind": "place", "host": "b", "n": 1}]
+        assert router.route(directives) == [
+            [directives[1], directives[2]], [directives[0], directives[3]]]
+
+    def test_each_shard_receives_only_its_hosts(self, monkeypatch):
+        """Every directive kind, one run, three shards: no shard sees
+        another shard's directive and none is lost."""
+        spec = small_spec(
+            hosts=[HostSpec("b", kind="smp", cpus=2), HostSpec("a"),
+                   HostSpec("c"), HostSpec("d"), HostSpec("e")],
+            tenants=24, epochs=10, policy="affinity", rebalance_threshold=2,
+            faults=[{"kind": "host-churn", "params": {"downs": 2}}])
+        received = []
+        original = ShardState.epoch
+
+        def recording(self, epoch, barrier_ns, directives):
+            received.append((set(self.hosts), list(directives)))
+            return original(self, epoch, barrier_ns, directives)
+
+        monkeypatch.setattr(ShardState, "epoch", recording)
+        pool = SerialShards(spec, partition_hosts(spec.host_names(), 3))
+        control = ControlTier(spec, 0, churn=build_churn(spec, 0).churn)
+        sent = []
+        directives = []
+        for epoch in range(spec.epochs):
+            del received[:]
+            pool.send(epoch, (epoch + 1) * spec.epoch_ns, directives)
+            merged = merge_outboxes(pool.gather())
+            for hosts, mine in received:
+                assert all(host_base(d) in hosts for d in mine)
+            assert sorted(map(id, directives)) == sorted(
+                id(d) for __, mine in received for d in mine)
+            sent.extend(directives)
+            directives = control.barrier(epoch, merged)
+        assert {d["kind"] for d in sent} == {
+            "place", "migrate-req", "host-stop", "host-start"}
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"kind": "host-load", "host": "a"}, "not a directive: 'host-load'"),
+        ({"kind": "place", "host": "zz+1"},
+         "place directive for unknown host 'zz\\+1'"),
+    ])
+    def test_bad_directive_same_error_for_any_shard_count(self, bad, match):
+        spec = small_spec(tenants=0)
+        errors = []
+        for shards in (1, 2):
+            pool = make_shards(spec, shards)
+            try:
+                with pytest.raises(ClusterError, match=match) as caught:
+                    pool.send(0, spec.epoch_ns, [bad])
+            finally:
+                pool.close()
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
+
+class TestShardFailures:
+    def test_host_failure_names_host_epoch_and_cause(self, monkeypatch):
+        def broken(self, to_ns):
+            if self.key == "b" and to_ns == 2 * 10 * MS:
+                raise RuntimeError("injected")
+            return original(self, to_ns)
+
+        original = HostSim.advance
+        monkeypatch.setattr(HostSim, "advance", broken)
+        with pytest.raises(ClusterError) as caught:
+            run_cluster(small_spec(), seed=3)
+        summary, __, trace = str(caught.value).partition("\n\n")
+        assert summary == "host b failed at epoch 1: RuntimeError: injected"
+        assert "Traceback" in trace and "in broken" in trace
+
+    def test_finalize_failure_is_wrapped(self, monkeypatch):
+        def broken(self):
+            raise ValueError("seal failed")
+
+        monkeypatch.setattr(HostSim, "finalize", broken)
+        pool = SerialShards(small_spec(), [["a", "b", "c"]])
+        with pytest.raises(ClusterError,
+                           match="^host a failed at finalize: "
+                                 "ValueError: seal failed\n"):
+            pool.finalize()
+
+
 # --- host simulation ---------------------------------------------------------
 
 
@@ -320,6 +425,25 @@ class TestControlTier:
         assert places and all(m["src"] == CTL_SRC for m in places)
         assert control.counters["placements"] == len(places)
         check_sorted(inbox + out, "epoch log")
+
+    def test_drawing_arrivals_early_changes_nothing(self):
+        """The run loop draws arrivals while shards run; drawing them all
+        up front or only at each barrier must place the same tenants."""
+        spec = small_spec(tenants=12)
+
+        def reports(control, epoch):
+            return [message(epoch, (epoch + 1) * spec.epoch_ns, name, epoch,
+                            "host-load", load=model.load(),
+                            alive=len(model.tenants))
+                    for name, model in sorted(control._hosts.items())]
+
+        lazy, eager = ControlTier(spec, seed=1), ControlTier(spec, seed=1)
+        eager.draw_arrivals(spec.horizon_ns)
+        for epoch in range(spec.epochs):
+            out = lazy.barrier(epoch, reports(lazy, epoch))
+            assert eager.barrier(epoch, reports(eager, epoch)) == out
+        assert lazy.counters == eager.counters
+        assert lazy.counters["admitted"] == spec.tenants
 
 
 # --- host churn injector -----------------------------------------------------

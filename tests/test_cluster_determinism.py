@@ -1,14 +1,17 @@
 """Property tests for cluster shard determinism and merge validation.
 
-The contract under test is ISSUE 10's headline guarantee: a cluster run
-is a pure function of ``(spec, seed)`` — the shard count, the worker
-scheduling, and the host registration order can never change a byte of
-the merged trace, the placement log, the merged schedstat, or the host
-summaries.  The seeded-skew test pins the enforcement side: the k-way
+The contract under test is the cluster tier's headline guarantee: a
+cluster run is a pure function of ``(spec, seed)`` — the shard count, the
+worker scheduling, and the host registration order can never change a
+byte of the merged trace, the placement log, the merged schedstat, or the
+host summaries.  The failure path is held to the same rule: a host that
+raises produces the same :class:`ClusterError` summary for every shard
+count.  The seeded-skew test pins the enforcement side: the k-way
 merge *detects* ordering bugs rather than papering over them with a
 sort.
 """
 
+import multiprocessing
 import random
 
 from hypothesis import given, settings
@@ -82,6 +85,41 @@ class TestShardByteIdentity:
         assert shuffled.host_names() == canonical.host_names()
         assert (run_cluster(shuffled, seed).digests()
                 == run_cluster(canonical, seed).digests())
+
+
+class _LostLeafTable(HostSpec):
+    """A host whose hierarchy cannot resolve a tenant leaf.
+
+    Module-level so shard workers can unpickle it; it raises the first
+    time a tenant is placed on the host, inside whichever shard owns it.
+    """
+
+    __slots__ = ()
+
+    def leaf_paths(self):
+        raise RuntimeError("leaf table lost on %s" % self.name)
+
+
+class TestFailureDeterminism:
+    @pytest.mark.parametrize("failing", [("n01",), ("n01", "n02")])
+    def test_failure_summary_invariant_across_shard_counts(self, failing):
+        """The first line (the traceback excluded) is the same for
+        --shards 1, 2 and 4; with two failing hosts in different shards
+        the smaller name is the one reported, as in the serial run."""
+        spec = build_spec(2, 2, 12, 6, "least-loaded", False)
+        spec.hosts = [_LostLeafTable(host.name, kind=host.kind,
+                                     cpus=host.cpus)
+                      if host.name in failing else host
+                      for host in spec.hosts]
+        summaries = set()
+        for shards in (1, 2, 4):
+            with pytest.raises(ClusterError) as caught:
+                run_cluster(spec, 11, shards=shards)
+            summaries.add(str(caught.value).split("\n", 1)[0])
+            # the failing workers were still stopped and joined
+            assert multiprocessing.active_children() == []
+        assert summaries == {"host n01 failed at epoch 1: RuntimeError: "
+                             "leaf table lost on n01"}
 
 
 class TestSeededSkew:
