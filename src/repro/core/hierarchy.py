@@ -18,16 +18,14 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.core.node import InternalNode, LeafNode, Node, require_leaf
 from repro.core.sfq import (
+    _CH_ENTITY,
+    _CH_PARENT,
     build_ancestor_chain,
     charge_chain,
     pick_leaf,
-    queue_charge,
-    queue_pick,
-    queue_set_runnable,
     sleep_chain,
-    tally_chain,
-    tally_pick,
     wake_chain,
+    wake_levels,
 )
 from repro.core.structure import SchedulingStructure
 from repro.cpu.interface import TopScheduler
@@ -47,6 +45,25 @@ if TYPE_CHECKING:  # pragma: no cover
 PREEMPT_NONE = "none"
 #: allow a leaf scheduler to preempt the running thread of the *same* leaf
 PREEMPT_LEAF = "leaf"
+
+
+def _emit_chain(chain: list, now: int, work: int, vtimes: bool) -> None:
+    """Emit the per-level events of a chain walk that has just finished.
+
+    Per entry: the child's ``tag-update`` and, with ``vtimes``, the
+    parent's ``vtime-advance``.  Each level of a walk touches only its
+    parent's queue, so the values read after the walk are the ones each
+    level produced (the same reasoning as
+    :func:`~repro.core.sfq.tally_chain`).
+    """
+    for entry in chain:
+        node, queue = entry[_CH_ENTITY], entry[_CH_PARENT].queue
+        _BUS.emit(obs.TAG_UPDATE, now, node=node.path,
+                  start=float(queue.start_tag(node)),
+                  finish=float(queue.finish_tag(node)), work=work)
+        if vtimes:
+            _BUS.emit(obs.VTIME_ADVANCE, now, node=entry[_CH_PARENT].path,
+                      v=float(queue.virtual_time))
 
 
 class HierarchicalScheduler(TopScheduler):
@@ -107,38 +124,25 @@ class HierarchicalScheduler(TopScheduler):
         root = self.structure.root
         if not root.runnable:
             return None
-        if _BUS.active:
-            # Traced walk: per-level emits, but the queue operations still
-            # go through the engine-swappable module functions so the
-            # compiled engine is exercised (and gated) under tracing too.
+        leaf, depth = pick_leaf(root, LeafNode, _BUS.tally)
+        if leaf is None:
+            # Re-walk with the method API for the standard diagnostic.
             node: Node = root
-            depth = 1
             while isinstance(node, InternalNode):
-                child = queue_pick(node.queue)
+                child = node.queue.pick()
                 if child is None:
                     raise SchedulingError(
                         "node %r is marked runnable but has no runnable "
                         "children" % (node.path,))
-                _BUS.emit(obs.VTIME_ADVANCE, now, node=node.path,
-                          v=float(node.queue.virtual_time))
                 node = child
-                depth += 1
             leaf = require_leaf(node)
-            if _BUS.tally is not None:
-                tally_pick(leaf, depth, _BUS.tally)
-        else:
-            leaf, depth = pick_leaf(root, LeafNode, _BUS.tally)
-            if leaf is None:
-                # Re-walk with the method API for the standard diagnostic.
-                node = root
-                while isinstance(node, InternalNode):
-                    child = node.queue.pick()
-                    if child is None:
-                        raise SchedulingError(
-                            "node %r is marked runnable but has no runnable "
-                            "children" % (node.path,))
-                    node = child
-                leaf = require_leaf(node)
+        if _BUS.active:
+            # Each level's pick touched only its own queue, so the virtual
+            # times read now are the ones the descent left, level by level.
+            for entry in reversed(self._chain_for(leaf)):
+                parent = entry[_CH_PARENT]
+                _BUS.emit(obs.VTIME_ADVANCE, now, node=parent.path,
+                          v=float(parent.queue.virtual_time))
         thread = leaf.scheduler.pick_next(now)
         if thread is None:
             raise SchedulingError(
@@ -150,26 +154,10 @@ class HierarchicalScheduler(TopScheduler):
     def charge(self, thread: "SimThread", work: int, now: int) -> None:
         leaf = require_leaf(thread.leaf)
         leaf.scheduler.charge(thread, work, now)
+        chain = self._chain_for(leaf)
+        charge_chain(chain, work, _BUS.tally)
         if _BUS.active:
-            node: Node = leaf
-            while node.parent is not None:
-                parent = node.parent
-                queue_charge(parent.queue, node, work)
-                _BUS.emit(obs.TAG_UPDATE, now, node=node.path,
-                          start=float(parent.queue.start_tag(node)),
-                          finish=float(parent.queue.finish_tag(node)),
-                          work=work)
-                _BUS.emit(obs.VTIME_ADVANCE, now, node=parent.path,
-                          v=float(parent.queue.virtual_time))
-                node = parent
-            if _BUS.tally is not None:
-                tally_chain(self._chain_for(leaf), _BUS.tally, True)
-            return
-        # Traced-off hot path: charge the static ancestor chain in one call
-        # (same levels, same order, same arithmetic as the walk above),
-        # counting into the native schedstat records when a collector is
-        # attached.
-        charge_chain(self._chain_for(leaf), work, _BUS.tally)
+            _emit_chain(chain, now, work, True)
 
     def _chain_for(self, leaf: LeafNode) -> list:
         """The cached ancestor chain of ``leaf``, rebuilt on tree changes."""
@@ -209,25 +197,11 @@ class HierarchicalScheduler(TopScheduler):
         if leaf.runnable:
             return
         leaf.runnable = True
-        if _BUS.active:
-            node: Node = leaf
-            levels = 0
-            while node.parent is not None:
-                parent = node.parent
-                queue_set_runnable(parent.queue, node)
-                _BUS.emit(obs.TAG_UPDATE, self.clock(), node=node.path,
-                          start=float(parent.queue.start_tag(node)),
-                          finish=float(parent.queue.finish_tag(node)),
-                          work=0)
-                levels += 1
-                if parent.runnable:
-                    break
-                parent.runnable = True
-                node = parent
-            if _BUS.tally is not None:
-                tally_chain(self._chain_for(leaf)[:levels], _BUS.tally, False)
-            return
-        wake_chain(self._chain_for(leaf), _BUS.tally)
+        chain = self._chain_for(leaf)
+        levels = wake_levels(chain) if _BUS.active else 0
+        wake_chain(chain, _BUS.tally)
+        if levels:
+            _emit_chain(chain[:levels], self.clock(), 0, False)
 
     def sleep(self, leaf: LeafNode) -> None:
         """Mark ``leaf`` idle and propagate up while ancestors become idle."""

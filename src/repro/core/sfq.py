@@ -62,9 +62,10 @@ Native schedstat counters
 :func:`pick_leaf`, :func:`charge_chain` and :func:`wake_chain` take an
 optional ``tally`` (``BUS.tally`` while a schedstat collector is
 attached, see :mod:`repro.obs.tally`).  With one, they also count the
-``vtime-advance`` / ``tag-update`` events the traced walks would have
-emitted per level (:func:`tally_pick`, :func:`tally_chain`); without
-one they pay a single flag test per call.
+per-level ``vtime-advance`` / ``tag-update`` events that
+:class:`~repro.core.hierarchy.HierarchicalScheduler` emits from the
+walked chain while an event subscriber is attached (:func:`tally_pick`,
+:func:`tally_chain`); without one they pay a single flag test per call.
 """
 
 from __future__ import annotations
@@ -416,10 +417,9 @@ def _grow_denominator(heap: List[Tuple[Tag, int, int, int]],
 
 # --- module-level per-queue operations (engine-swappable) --------------------
 #
-# The leaf SFQ scheduler and the hierarchy's traced paths go through these
-# module-level names instead of the bound methods, so selecting the
-# compiled engine routes every hot per-queue operation — including the ones
-# exercised while the observability bus is attached — through one seam.
+# The leaf SFQ scheduler goes through these module-level names instead of
+# the bound methods, so selecting the compiled engine routes every hot
+# per-queue operation through one seam.
 
 queue_pick = SfqQueue.pick
 queue_set_runnable = SfqQueue.set_runnable
@@ -481,10 +481,9 @@ def tally_chain(chain: List[ChainEntry], tally: List[Any],
 
     Per entry: the child's tag update (its tags as they stand after the
     walk) and, with ``vtimes``, the parent's virtual-time advance --
-    what the traced walks in
-    :class:`~repro.core.hierarchy.HierarchicalScheduler` emit as
-    ``tag-update`` / ``vtime-advance`` events (record layout:
-    :mod:`repro.obs.tally`).  Pass only the entries the walk visited.
+    what :class:`~repro.core.hierarchy.HierarchicalScheduler` emits
+    from the same chain as ``tag-update`` / ``vtime-advance`` events
+    (record layout: :mod:`repro.obs.tally`).  Pass only the entries the walk visited.
     Entry i's parent is entry i+1's entity, so each record is fetched
     once: a level's entity record also takes the level below's vtime.
     """
@@ -586,18 +585,12 @@ def wake_chain(chain: List[ChainEntry],
     """Propagate leaf eligibility up a cached chain (``hsfq_setrun``).
 
     Per level: :meth:`SfqQueue.set_runnable` for the child, stopping after
-    the first parent that was already runnable — exactly the walk in
-    :meth:`HierarchicalScheduler.setrun`.  With a ``tally`` every level
-    walked is also counted.
+    the first parent that was already runnable (:func:`wake_levels`
+    counts those levels).  With a ``tally`` every level walked is also
+    counted.
     """
     if tally is not None:
-        # The walk stops at the first parent that is already runnable, and
-        # it only ever sets the flags of parents before that one.
-        levels = len(chain)
-        for index, entry in enumerate(chain):
-            if entry[_CH_PARENT].runnable:
-                levels = index + 1
-                break
+        levels = wake_levels(chain)
     for (__, solo, heap, state, start_col, fin_col, run_col,
          ver_col, seq_col, slot, ___, parent) in chain:
         if not run_col[slot]:
@@ -616,6 +609,19 @@ def wake_chain(chain: List[ChainEntry],
         parent.runnable = True
     if tally is not None:
         tally_chain(chain[:levels], tally, False)
+
+
+def wake_levels(chain: List[ChainEntry]) -> int:
+    """How many entries of ``chain`` a :func:`wake_chain` walk will visit.
+
+    The walk stops at the first parent that is already runnable, and it
+    only ever sets the flags of parents before that one, so the count is
+    known before the walk.
+    """
+    for index, entry in enumerate(chain):
+        if entry[_CH_PARENT].runnable:
+            return index + 1
+    return len(chain)
 
 
 def pick_leaf(root: Any, leaf_type: type,

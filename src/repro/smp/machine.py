@@ -11,33 +11,37 @@ is simplified where parallelism would not change the studied behaviour:
   machine for those studies);
 * quanta run to completion (no preemption), as in the paper.
 
-Work/time units, workload segments (including synchronization), tracing
-hooks, and statistics match the uniprocessor machine, so all metrics and
-analysis code work unchanged — slices from different CPUs may overlap in
-time, which is exactly what the SMP fairness analysis needs to see.
+Both machines inherit the thread lifecycle -- spawn, workload segments
+(including synchronization), sleep/wakeup, exit, and their tracer and bus
+sites -- from :class:`~repro.cpu.lifecycle.ThreadLifecycle`, so it matches
+the uniprocessor by construction.  Work/time units, dispatch/slice/charge
+tracing and statistics match too, so all metrics and analysis code work
+unchanged — slices from different CPUs may overlap in time, which is
+exactly what the SMP fairness analysis needs to see.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.cpu.interface import TopScheduler
-from repro.devtools.schedsan import maybe_wrap as _schedsan_wrap
-from repro.errors import SchedulingError, SimulationError, WorkloadError
+from repro.cpu.lifecycle import (
+    _OUTCOME_RUN,
+    _OUTCOME_SLEEP,
+    _OUTCOME_WAIT,
+    ThreadLifecycle,
+    _leaf_path,
+)
+from repro.errors import SchedulingError, SimulationError
 from repro.obs import events as obs
 from repro.obs.tally import (
-    R_BLOCKS,
     R_CHARGES,
     R_DISPATCHES,
     R_SERVICE,
-    R_WAKES,
     T_EVENTS,
     thread_record,
 )
 from repro.sim.engine import Simulator
-from repro.sync.mutex import Acquire, Release
-from repro.sync.semaphore import Down, Notify, Up, WaitOn
-from repro.threads.segments import Compute, Exit, SleepFor, SleepUntil
 from repro.threads.states import ThreadState
 from repro.threads.thread import SimThread
 from repro.units import MS, SECOND, work_from_time
@@ -46,14 +50,6 @@ from repro.units import MS, SECOND, work_from_time
 #: the per-dispatch hot path, and `_BUS.active` is one attribute lookup
 #: cheaper than `obs.BUS.active`.
 _BUS = obs.BUS
-
-_MAX_SEGMENT_PULLS = 1000
-
-
-def _leaf_path(thread: SimThread) -> str:
-    """Pathname of the thread's leaf node, "/" for flat schedulers."""
-    leaf = thread.leaf
-    return leaf.path if leaf is not None else "/"
 
 
 class _Cpu:
@@ -72,10 +68,9 @@ class _Cpu:
         self.burst_handle = None
 
 
-class SmpMachine:
+class SmpMachine(ThreadLifecycle):
     """``num_cpus`` identical CPUs sharing one scheduler."""
 
-    PRIORITY_WAKEUP = 0
     PRIORITY_COMPLETION = 10
 
     def __init__(self, engine: Simulator, scheduler: TopScheduler,
@@ -85,21 +80,15 @@ class SmpMachine:
             raise SimulationError("need at least one CPU")
         if capacity_ips <= 0 or default_quantum <= 0:
             raise SimulationError("capacity and quantum must be positive")
-        self.engine = engine
-        # Opt-in sanitizer (REPRO_SCHEDSAN=1); pass-through when disabled.
-        scheduler = _schedsan_wrap(scheduler)
-        self.scheduler = scheduler
+        super().__init__(engine, scheduler, tracer)
+        self._turbo_wake = None
         self.capacity_ips = capacity_ips  # per CPU
         self.default_quantum = default_quantum
         #: default quantum pre-converted to instructions (per-dispatch path)
         self._default_quantum_work = work_from_time(default_quantum, capacity_ips)
-        self.tracer = tracer
         self.cpus = [_Cpu(index) for index in range(num_cpus)]
-        self.threads: List[SimThread] = []
         self.busy_time = 0  # summed over CPUs
         self.dispatches = 0
-        if hasattr(scheduler, "clock"):
-            scheduler.clock = lambda: self.engine.now
 
     # --- public API ------------------------------------------------------
 
@@ -107,15 +96,6 @@ class SmpMachine:
     def num_cpus(self) -> int:
         """Number of CPUs in the machine."""
         return len(self.cpus)
-
-    def spawn(self, thread: SimThread, at: Optional[int] = None) -> SimThread:
-        """Create ``thread`` now or at absolute time ``at``."""
-        self.threads.append(thread)
-        if at is None or at <= self.engine.now:
-            self._do_spawn(thread)
-        else:
-            self.engine.at(at, self._do_spawn, thread)
-        return thread
 
     def run_until(self, time: int) -> None:
         """Advance to ``time``; in-flight bursts have their work settled."""
@@ -129,146 +109,11 @@ class SmpMachine:
             return 0.0  # derived metric, not state  # schedlint: disable=SL004
         return self.busy_time / (self.engine.now * self.num_cpus)  # schedlint: disable=SL004
 
-    # --- spawning / workload ------------------------------------------------
-
-    def _do_spawn(self, thread: SimThread) -> None:
-        thread.stats.created_at = self.engine.now
-        self.scheduler.admit(thread)
-        if self.tracer is not None:
-            self.tracer.on_spawn(thread, self.engine.now)
-        if _BUS.tally is not None:
-            _BUS.tally[T_EVENTS] += 1
-        if _BUS.active:
-            _BUS.emit(obs.SPAWN, self.engine.now, tid=thread.tid,
-                         name=thread.name, node=_leaf_path(thread),
-                         weight=thread.weight)
-        self._settle(thread)
-
-    def _settle(self, thread: SimThread) -> None:
-        now = self.engine.now
-        outcome, wake_time = self._advance_workload(thread)
-        if outcome == "run":
-            self._make_runnable(thread)
-        elif outcome == "sleep":
-            if thread.state is not ThreadState.SLEEPING:
-                thread.transition(ThreadState.SLEEPING)
-            self._schedule_wakeup(thread, wake_time)
-        elif outcome == "wait":
-            if thread.state is not ThreadState.SLEEPING:
-                thread.transition(ThreadState.SLEEPING)
-            if self.tracer is not None:
-                self.tracer.on_block(thread, now, -1)
-            if _BUS.tally is not None:
-                thread_record(_BUS.tally, thread)[R_BLOCKS] += 1
-            if _BUS.active:
-                _BUS.emit(obs.BLOCK, now, tid=thread.tid,
-                             node=_leaf_path(thread), wake=-1)
-        else:
-            thread.transition(ThreadState.EXITED)
-            thread.stats.exited_at = now
-            self._release_held_mutexes(thread)
-            if _BUS.tally is not None:
-                _BUS.tally[T_EVENTS] += 1
-            if _BUS.active:
-                _BUS.emit(obs.EXIT, now, tid=thread.tid,
-                             node=_leaf_path(thread))
-            self.scheduler.retire(thread, now)
-            if self.tracer is not None:
-                self.tracer.on_exit(thread, now)
-
-    def _advance_workload(self, thread: SimThread):
-        now = self.engine.now
-        for __ in range(_MAX_SEGMENT_PULLS):
-            segment = thread.workload.next_segment(now, thread)
-            if segment is None or isinstance(segment, Exit):
-                return "exit", None
-            if isinstance(segment, Compute):
-                thread.remaining_work = segment.work
-                return "run", None
-            if isinstance(segment, SleepFor):
-                if segment.duration == 0:
-                    continue
-                return "sleep", now + segment.duration
-            if isinstance(segment, SleepUntil):
-                if segment.wakeup <= now:
-                    continue
-                return "sleep", segment.wakeup
-            if isinstance(segment, Acquire):
-                if segment.mutex.try_acquire(thread):
-                    thread.held_mutexes.append(segment.mutex)
-                    continue
-                segment.mutex.enqueue_waiter(thread)
-                return "wait", None
-            if isinstance(segment, Release):
-                self._release_mutex(thread, segment.mutex)
-                continue
-            if isinstance(segment, Down):
-                if segment.semaphore.try_down(thread):
-                    continue
-                segment.semaphore.enqueue_waiter(thread)
-                return "wait", None
-            if isinstance(segment, Up):
-                granted = segment.semaphore.up()
-                if granted is not None:
-                    self._defer_wake(granted)
-                continue
-            if isinstance(segment, WaitOn):
-                segment.queue.enqueue_waiter(thread)
-                return "wait", None
-            if isinstance(segment, Notify):
-                for woken in segment.queue.notify(segment.count):
-                    self._defer_wake(woken)
-                continue
-            raise WorkloadError("unknown segment %r" % (segment,))
-        raise WorkloadError("workload for %r never yields work" % (thread,))
-
-    # --- wakeups --------------------------------------------------------------
-
-    def _make_runnable(self, thread: SimThread) -> None:
-        now = self.engine.now
-        thread.transition(ThreadState.RUNNABLE)
-        thread.last_runnable_at = now
-        if self.tracer is not None:
-            self.tracer.on_runnable(thread, now)
-        if _BUS.tally is not None:
-            _BUS.tally[T_EVENTS] += 1
-        if _BUS.active:
-            _BUS.emit(obs.RUNNABLE, now, tid=thread.tid,
-                         node=_leaf_path(thread))
-        self.scheduler.thread_runnable(thread, now)
-        self._dispatch_idle_cpus()
-
-    def _schedule_wakeup(self, thread: SimThread, wake_time: int) -> None:
-        if self.tracer is not None:
-            self.tracer.on_block(thread, self.engine.now, wake_time)
-        if _BUS.tally is not None:
-            thread_record(_BUS.tally, thread)[R_BLOCKS] += 1
-        if _BUS.active:
-            _BUS.emit(obs.BLOCK, self.engine.now, tid=thread.tid,
-                         node=_leaf_path(thread), wake=wake_time)
-        thread.wakeup_handle = self.engine.at(
-            wake_time, self._on_wakeup, thread, priority=self.PRIORITY_WAKEUP)
-
-    def _on_wakeup(self, thread: SimThread) -> None:
-        thread.wakeup_handle = None
-        thread.stats.wakeups += 1
-        if self.tracer is not None:
-            self.tracer.on_wake(thread, self.engine.now)
-        if _BUS.tally is not None:
-            thread_record(_BUS.tally, thread)[R_WAKES] += 1
-        if _BUS.active:
-            _BUS.emit(obs.WAKE, self.engine.now, tid=thread.tid,
-                         node=_leaf_path(thread))
-        if thread.remaining_work > 0:
-            self._make_runnable(thread)
-        else:
-            self._settle(thread)
-
-    def _defer_wake(self, thread: SimThread) -> None:
-        self.engine.at(self.engine.now, self._on_wakeup, thread,
-                       priority=self.PRIORITY_WAKEUP)
-
     # --- dispatching --------------------------------------------------------------
+
+    def _kick(self, thread: SimThread, now: int) -> None:
+        """``thread`` just became runnable: give it any idle CPU."""
+        self._dispatch_idle_cpus()
 
     def _dispatch_idle_cpus(self) -> None:
         for cpu in self.cpus:
@@ -377,16 +222,16 @@ class SmpMachine:
         cpu.current = None
 
         if thread.remaining_work > 0:
-            outcome, wake_time = "run", None
+            outcome, wake_time = _OUTCOME_RUN, None
         else:
             thread.stats.segments_completed += 1
             if self.tracer is not None:
                 self.tracer.on_segment_complete(thread, now)
             outcome, wake_time = self._advance_workload(thread)
 
-        if outcome == "run":
+        if outcome == _OUTCOME_RUN:
             thread.transition(ThreadState.RUNNABLE)
-        elif outcome in ("sleep", "wait"):
+        elif outcome in (_OUTCOME_SLEEP, _OUTCOME_WAIT):
             thread.transition(ThreadState.SLEEPING)
             thread.stats.blocks += 1
         else:
@@ -407,41 +252,14 @@ class SmpMachine:
         cpu.quantum_done = 0
         cpu.quantum_left = 0
 
-        if outcome == "run":
+        if outcome == _OUTCOME_RUN:
             # re-enter the queues with a fresh stamp S = max(v, F)
             self.scheduler.thread_runnable(thread, now)
-        elif outcome == "sleep":
+        elif outcome == _OUTCOME_SLEEP:
             self._schedule_wakeup(thread, wake_time)
-        elif outcome == "wait":
-            if self.tracer is not None:
-                self.tracer.on_block(thread, now, -1)
-            if _BUS.tally is not None:
-                thread_record(_BUS.tally, thread)[R_BLOCKS] += 1
-            if _BUS.active:
-                _BUS.emit(obs.BLOCK, now, tid=thread.tid,
-                             node=_leaf_path(thread), wake=-1)
+        elif outcome == _OUTCOME_WAIT:
+            self._note_wait(thread, now)
         else:
-            self._release_held_mutexes(thread)
-            if _BUS.tally is not None:
-                _BUS.tally[T_EVENTS] += 1
-            if _BUS.active:
-                _BUS.emit(obs.EXIT, now, tid=thread.tid,
-                             node=_leaf_path(thread))
-            self.scheduler.retire(thread, now)
-            if self.tracer is not None:
-                self.tracer.on_exit(thread, now)
+            self._exit(thread, now)
 
         self._dispatch_idle_cpus()
-
-    # --- mutexes -----------------------------------------------------------------
-
-    def _release_mutex(self, thread: SimThread, mutex) -> None:
-        thread.held_mutexes.remove(mutex)
-        granted = mutex.release(thread)
-        if granted is not None:
-            granted.held_mutexes.append(mutex)
-            self._defer_wake(granted)
-
-    def _release_held_mutexes(self, thread: SimThread) -> None:
-        while thread.held_mutexes:
-            self._release_mutex(thread, thread.held_mutexes[-1])

@@ -4,7 +4,7 @@ A :class:`SchedStat` attached to the bus counts through native per-node
 records instead of per-event walks.  Every case here runs one seeded
 simulation three times -- SchedStat alone (the counting fast path),
 a test-local oracle that folds the per-event stream, and SchedStat
-together with an event subscriber (traced walks plus native counts) --
+together with an event subscriber (per-level events plus native counts) --
 and requires the three ``render_schedstat`` texts to be identical.
 """
 
@@ -62,7 +62,8 @@ class EventFold:
     """The oracle: folds the raw event stream, written from the catalogue.
 
     Shares no code with :mod:`repro.obs.schedstat`; it is a plain event
-    subscriber, so attaching it puts the run on the traced walks.
+    subscriber, so attaching it sets ``BUS.active`` and the run emits every
+    per-level event.
     """
 
     def __init__(self):

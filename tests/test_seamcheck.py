@@ -109,7 +109,7 @@ def _analyze_seeded(c_text):
     """Analyze the real Python seam modules against a modified _sfqc.c."""
     index = ProjectIndex()
     for rel in ("core/sfq.py", "core/arena.py", "core/engine.py",
-                "cpu/machine.py"):
+                "cpu/machine.py", "cpu/lifecycle.py"):
         path = SRC / "repro" / rel
         index.add_source(path.read_text(), str(path))
     index.add_source(c_text, str(SFQC))
@@ -117,11 +117,14 @@ def _analyze_seeded(c_text):
             if f.code.startswith("SF5")]
 
 
-def _seed(needle, replacement):
-    """Replace ``needle`` once in the real _sfqc.c source."""
+def _seed(needle, replacement, occurrence=1):
+    """Replace the ``occurrence``-th ``needle`` in the real _sfqc.c source."""
     base = SFQC.read_text()
-    assert needle in base, f"seed needle drifted: {needle!r}"
-    return base.replace(needle, replacement, 1)
+    at = -1
+    for __ in range(occurrence):
+        at = base.find(needle, at + 1)
+        assert at >= 0, f"seed needle drifted: {needle!r} #{occurrence}"
+    return base[:at] + replacement + base[at + len(needle):]
 
 
 class TestSeededSkews:
@@ -162,6 +165,19 @@ class TestSeededSkews:
         hits = [f for f in findings if f.code == "SF503"]
         assert any("tracer" in f.message for f in hits), \
             [str(f) for f in findings]
+
+    def test_sf503_catches_dropped_wake_tracer_gate(self):
+        """machine_wake's own tracer re-check (the second lookup in
+        _sfqc.c) guards its bailouts, including the inherited _on_wakeup
+        in cpu/lifecycle.py."""
+        text = _seed(
+            "PyObject *tracer = PyObject_GetAttr(machine, str_tracer);",
+            "PyObject *tracer = PyObject_GetAttr(machine, str_queue);",
+            occurrence=2)
+        hits = [f for f in _analyze_seeded(text) if f.code == "SF503"]
+        assert any("sfqc_machine_wake" in f.message
+                   and "'tracer'" in f.message for f in hits), \
+            [str(f) for f in hits]
 
     def test_sf504_catches_dropped_decref_on_error_path(self):
         text = _seed(
