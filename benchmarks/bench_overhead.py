@@ -128,7 +128,7 @@ def test_smp_simulation_throughput(benchmark, num_cpus):
             leaf.attach_thread(thread)
             machine.spawn(thread)
         machine.run_until(SECOND)
-        return machine.dispatches
+        return machine.stats.dispatches
 
     dispatches = benchmark(run_one_simulated_second)
     assert dispatches > 0

@@ -81,7 +81,7 @@ def main() -> None:
     print(format_table(["tier", "streams", "mean fps", "worst fps"], rows,
                        title="Video wall: %d streams on %d CPUs (target 30 fps)"
                        % (STREAMS, CPUS)))
-    busy = machine.busy_time / (DURATION * CPUS)
+    busy = machine.stats.busy_time / (DURATION * CPUS)
     print()
     print("machine utilization %.0f%% across %d CPUs;"
           % (100 * busy, CPUS))

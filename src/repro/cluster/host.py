@@ -37,7 +37,6 @@ from repro.cluster.spec import HostSpec, TenantSpec, TenantWorkload, tenant_leaf
 from repro.core.hierarchy import HierarchicalScheduler
 from repro.core.node import Node
 from repro.core.structure import SchedulingStructure
-from repro.core.tags import FLOAT
 from repro.cpu.machine import Machine
 from repro.errors import ClusterError
 from repro.obs.binlog import BinaryTraceWriter
@@ -87,12 +86,12 @@ class HostSim:
         self.spec = spec
         self.incarnation = incarnation
         self.engine = Simulator()
-        self.structure = SchedulingStructure(FLOAT)
+        self.structure = SchedulingStructure()
         for group in range(spec.groups):
             parent = self.structure.mknod("g%d" % group, 1)
             for leaf in range(spec.leaves):
                 self.structure.mknod("l%d" % leaf, 1, parent=parent,
-                                     scheduler=SfqScheduler(FLOAT))
+                                     scheduler=SfqScheduler())
         scheduler = HierarchicalScheduler(self.structure)
         self.machine: Union[Machine, SmpMachine]
         if spec.kind == "smp":
@@ -271,12 +270,11 @@ class HostSim:
                 "work_done": tenant.thread.stats.work_done,
                 "dispatches": tenant.thread.stats.dispatches,
             })
-        stats = getattr(self.machine, "stats", self.machine)
         summary: Dict[str, object] = {
             "key": self.key,
             "sim_ns": self.engine.now,
             "events": self.engine.events_fired,
-            "dispatches": stats.dispatches,
+            "dispatches": self.machine.stats.dispatches,
             "tenants": rows,
             "schedstat": self.stats.to_dict(),
         }

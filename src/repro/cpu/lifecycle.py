@@ -1,13 +1,19 @@
-"""The thread lifecycle shared by the uniprocessor and SMP machines.
+"""The thread lifecycle and dispatch cycle shared by both machines.
 
-Everything a thread does off the CPU is machine-independent: creation,
-the workload-segment protocol (compute, sleep, mutexes, semaphores,
-wait queues, exit), sleep/wakeup, synchronization wakeups and exit, and
-every tracer / native-tally / bus site for those events.
-:class:`ThreadLifecycle` holds that code once.  A machine subclass owns
-only dispatch, bursts, the charge and interrupts, and implements
-:meth:`ThreadLifecycle._kick`, which runs whenever a thread has just
-become runnable.
+Almost everything the machine does to a thread is machine-independent:
+creation, the workload-segment protocol (compute, sleep, mutexes,
+semaphores, wait queues, exit), sleep/wakeup, synchronization wakeups
+and exit, and the per-dispatch cycle -- the pick, the dispatch
+accounting, slice booking and the end-of-dispatch settle (segment
+completion, the state ladder and the charge) -- with every tracer /
+native-tally / bus site for those events and one :class:`MachineStats`.
+:class:`ThreadLifecycle` holds that code once.
+
+A machine subclass owns only burst timing and its per-CPU state, plus
+two hooks: :meth:`ThreadLifecycle._kick` runs whenever a thread has
+just become runnable, and :meth:`ThreadLifecycle._requeue` applies the
+machine's requeue discipline once a dispatch has been charged.  The
+uniprocessor adds interrupts, preemption and the scheduling-cost model.
 """
 
 from __future__ import annotations
@@ -16,15 +22,25 @@ from typing import List, Optional
 
 from repro.cpu.interface import TopScheduler
 from repro.devtools.schedsan import maybe_wrap as _schedsan_wrap
-from repro.errors import WorkloadError
+from repro.errors import SchedulingError, SimulationError, WorkloadError
 from repro.obs import events as obs
-from repro.obs.tally import R_BLOCKS, R_WAKES, T_EVENTS, thread_record
+from repro.obs.tally import (
+    R_BLOCKS,
+    R_CHARGES,
+    R_DISPATCHES,
+    R_OVERHEAD,
+    R_SERVICE,
+    R_WAKES,
+    T_EVENTS,
+    thread_record,
+)
 from repro.sim.engine import Simulator
 from repro.sync.mutex import Acquire, Release
 from repro.sync.semaphore import Down, Notify, Up, WaitOn
 from repro.threads.segments import Compute, Exit, SleepFor, SleepUntil
 from repro.threads.states import ThreadState
 from repro.threads.thread import SimThread
+from repro.units import work_from_time
 
 #: module-level alias of the process-wide bus: `_BUS.active` is one
 #: attribute lookup cheaper than `obs.BUS.active`.  Every site also counts
@@ -47,11 +63,38 @@ def _leaf_path(thread: SimThread) -> str:
     return leaf.path if leaf is not None else "/"
 
 
-class ThreadLifecycle:
-    """Spawn, workload segments, sleep/wake, sync wakeups and exit.
+class MachineStats:
+    """Aggregate machine counters.
 
-    Subclasses set ``_turbo_wake`` (the compiled wakeup entry, or
-    ``None``) and implement :meth:`_kick`.
+    On the SMP machine ``busy_time`` is summed over CPUs, and the
+    interrupt, overhead, pause and preemption counters stay zero.
+    """
+
+    __slots__ = ("busy_time", "interrupt_time", "overhead_time", "dispatches",
+                 "context_switches", "interrupts", "pauses", "preemptions")
+
+    def __init__(self) -> None:
+        self.busy_time = 0
+        self.interrupt_time = 0
+        self.overhead_time = 0
+        self.dispatches = 0
+        self.context_switches = 0
+        self.interrupts = 0
+        self.pauses = 0
+        self.preemptions = 0
+
+    def idle_time(self, now: int) -> int:
+        """Time the (uniprocessor's) CPU spent doing nothing up to ``now``."""
+        return now - self.busy_time - self.interrupt_time - self.overhead_time
+
+
+class ThreadLifecycle:
+    """Spawn, workload segments, sleep/wake, sync wakeups, exit and the
+    dispatch cycle.
+
+    Subclasses set ``capacity_ips``, ``default_quantum``,
+    ``_default_quantum_work`` and ``_turbo_wake`` (the compiled wakeup
+    entry, or ``None``) and implement :meth:`_kick` and :meth:`_requeue`.
     """
 
     PRIORITY_WAKEUP = 0
@@ -65,6 +108,7 @@ class ThreadLifecycle:
         self.scheduler = scheduler
         self.tracer = tracer
         self.threads: List[SimThread] = []
+        self.stats = MachineStats()
         # Hierarchical schedulers want a clock for hsfq_move bookkeeping.
         if hasattr(scheduler, "clock"):
             scheduler.clock = lambda: self.engine.now
@@ -84,6 +128,10 @@ class ThreadLifecycle:
 
     def _kick(self, thread: SimThread, now: int) -> None:
         """React to ``thread`` having just become runnable."""
+        raise NotImplementedError
+
+    def _requeue(self, thread: SimThread, outcome: str, now: int) -> None:
+        """Tell the scheduler where a charged dispatch left ``thread``."""
         raise NotImplementedError
 
     # --- spawning / workload advancement ----------------------------------
@@ -186,6 +234,132 @@ class ThreadLifecycle:
                       node=_leaf_path(thread))
         self.scheduler.thread_runnable(thread, now)
         self._kick(thread, now)
+
+    # --- the dispatch cycle ---------------------------------------------------
+
+    def _pick(self, now: int) -> Optional[SimThread]:
+        """The scheduler's next thread, or ``None`` when nothing is runnable."""
+        # One scheduler call instead of has_runnable() + pick_next():
+        # pick_next returns None when nothing is runnable (interface
+        # contract), so has_runnable() is only consulted to keep the
+        # contract-violation diagnostic.
+        thread = self.scheduler.pick_next(now)
+        if thread is None:
+            if self.scheduler.has_runnable():
+                raise SchedulingError(
+                    "scheduler claimed runnable work but picked None")
+            return None
+        if thread.state is not ThreadState.RUNNABLE:
+            raise SchedulingError(
+                "scheduler picked non-runnable thread %r" % (thread,))
+        return thread
+
+    def _begin_dispatch(self, thread: SimThread, now: int, cpu: int,
+                        switched: bool, overhead: int) -> int:
+        """Put a picked ``thread`` in service on ``cpu``.
+
+        Returns its quantum in instructions.  ``overhead`` is the
+        scheduling cost (ns) charged to the machine ahead of the burst.
+        """
+        # _pick verified RUNNABLE and RUNNABLE -> RUNNING is the only
+        # edge out of it, so the transition() validation is redundant.
+        thread.state = ThreadState.RUNNING
+        stats = self.stats
+        stats.dispatches += 1
+        thread.stats.dispatches += 1
+        if switched:
+            stats.context_switches += 1
+        stats.overhead_time += overhead
+        quantum_ns = self.scheduler.quantum_for(thread)
+        if quantum_ns is None:
+            quantum_ns = self.default_quantum
+            quantum_work = self._default_quantum_work
+        else:
+            quantum_work = work_from_time(quantum_ns, self.capacity_ips)
+        if quantum_work <= 0:
+            raise SimulationError(
+                "quantum of %d ns yields zero instructions at %d ips"
+                % (quantum_ns, self.capacity_ips))
+        if self.tracer is not None:
+            self.tracer.on_dispatch(thread, now)
+        if _BUS.tally is not None:
+            record = thread_record(_BUS.tally, thread)
+            record[R_DISPATCHES] += 1
+            if overhead:
+                record[R_OVERHEAD] += overhead
+        if _BUS.active:
+            _BUS.emit(obs.DISPATCH, now, tid=thread.tid,
+                      name=thread.name, node=_leaf_path(thread), cpu=cpu,
+                      depth=self.scheduler.decision_depth,
+                      switched=switched, overhead_ns=overhead,
+                      quantum_work=quantum_work)
+        return quantum_work
+
+    def _book_slice(self, thread: SimThread, cpu: int, start: int,
+                    now: int, executed: int) -> None:
+        """Book ``executed`` (> 0) instructions run on ``cpu`` since ``start``."""
+        thread.remaining_work -= executed
+        if thread.remaining_work < 0:
+            raise SimulationError("burst executed more work than remained")
+        elapsed = max(0, now - start)
+        thread.stats.work_done += executed
+        thread.stats.cpu_time += elapsed
+        self.stats.busy_time += elapsed
+        if self.tracer is not None:
+            self.tracer.on_slice(thread, start, now, executed)
+        if _BUS.tally is not None:
+            _BUS.tally[T_EVENTS] += 1
+        if _BUS.active:
+            _BUS.emit(obs.SLICE, now, tid=thread.tid, name=thread.name,
+                      node=_leaf_path(thread), cpu=cpu,
+                      start=start, work=executed)
+
+    def _end_dispatch(self, thread: SimThread, done: int, now: int) -> None:
+        """Settle ``thread``'s finished dispatch of ``done`` instructions.
+
+        The caller has already taken the thread off its CPU.
+        """
+        if thread.remaining_work > 0:
+            outcome, wake_time = _OUTCOME_RUN, None
+        else:
+            thread.stats.segments_completed += 1
+            if self.tracer is not None:
+                self.tracer.on_segment_complete(thread, now)
+            outcome, wake_time = self._advance_workload(thread)
+
+        # State first, then charge: schedulers observe the post-transition
+        # runnability (see LeafScheduler contract).  The thread is RUNNING
+        # (only the machine assigns states, and dispatch set it), and
+        # every RUNNING -> X edge is legal, so assign directly instead of
+        # paying transition() validation on the per-dispatch path.
+        if outcome == _OUTCOME_RUN:
+            thread.state = ThreadState.RUNNABLE
+        elif outcome in (_OUTCOME_SLEEP, _OUTCOME_WAIT):
+            thread.state = ThreadState.SLEEPING
+            thread.stats.blocks += 1
+        else:
+            thread.state = ThreadState.EXITED
+            thread.stats.exited_at = now
+
+        if done > 0:
+            self.scheduler.charge(thread, done, now)
+            if self.tracer is not None:
+                self.tracer.on_charge(thread, now, done)
+            if _BUS.tally is not None:
+                record = thread_record(_BUS.tally, thread)
+                record[R_CHARGES] += 1
+                record[R_SERVICE] += done
+            if _BUS.active:
+                _BUS.emit(obs.CHARGE, now, tid=thread.tid,
+                          node=_leaf_path(thread), work=done)
+
+        self._requeue(thread, outcome, now)
+        if outcome == _OUTCOME_SLEEP:
+            self._schedule_wakeup(thread, wake_time)
+        elif outcome == _OUTCOME_WAIT:
+            self._note_wait(thread, now)
+        elif outcome == _OUTCOME_EXIT:
+            self._exit(thread, now)
 
     # --- sleep / wakeup ----------------------------------------------------
 

@@ -1,9 +1,13 @@
 """The single-CPU machine.
 
-The machine owns every thread state transition; the off-CPU ones (spawn,
-workload segments, sleep/wakeup, exit) are inherited from
+The machine owns every thread state transition.  Everything that does
+not depend on the CPU count -- spawn, workload segments, sleep/wakeup,
+exit, and the dispatch cycle (the pick, dispatch accounting, slice
+booking, the end-of-dispatch settle and charge, and their tracer and
+bus sites) -- is inherited from
 :class:`~repro.cpu.lifecycle.ThreadLifecycle`, shared with the SMP
-machine.  Its execution model:
+machine.  This module adds burst timing, interrupts, preemption and the
+scheduling-cost model.  Its execution model:
 
 * Threads are dispatched for **quanta measured in work** (instructions):
   a quantum of ``q`` nanoseconds grants ``q * capacity / 1s`` instructions.
@@ -19,6 +23,8 @@ machine.  Its execution model:
   FIFO.  Stolen time is tracked so analysis code can fit FC/EBF parameters.
 * Scheduling decisions and context switches consume CPU according to a
   pluggable :class:`~repro.cpu.costs.SchedulingCostModel` (Figure 7).
+* Requeue discipline: a thread stays queued while it runs; the scheduler
+  hears ``thread_blocked`` when a dispatch ends in sleep or wait.
 
 Event priorities at equal timestamps: interrupts fire first, then wakeups,
 then burst completions, then deferred dispatch attempts.  This ordering is
@@ -35,30 +41,27 @@ from repro.cpu.costs import SchedulingCostModel
 from repro.cpu.interface import TopScheduler
 from repro.cpu.interrupts import InterruptSource
 # The _OUTCOME_* names stay importable from here: the compiled engine
-# (_sfqc.c) reads them from repro.cpu.machine.
-from repro.cpu.lifecycle import (
+# (_sfqc.c) reads them from repro.cpu.machine.  So does MachineStats,
+# which repro and repro.cpu export.
+from repro.cpu.lifecycle import (  # noqa: F401 (re-exports)
     _OUTCOME_EXIT,
     _OUTCOME_RUN,
     _OUTCOME_SLEEP,
     _OUTCOME_WAIT,
+    MachineStats,
     ThreadLifecycle,
     _leaf_path,
 )
-from repro.errors import SchedulingError, SimulationError
+from repro.errors import SimulationError
 from repro.obs import events as obs
 from repro.obs.tally import (
-    R_CHARGES,
-    R_DISPATCHES,
-    R_OVERHEAD,
     R_PREEMPTIONS,
-    R_SERVICE,
     T_EVENTS,
     T_INTERRUPT_NS,
     T_INTERRUPTS,
     thread_record,
 )
 from repro.sim.engine import Simulator
-from repro.threads.states import ThreadState
 from repro.threads.thread import SimThread
 from repro.units import MS, SECOND, work_from_time
 
@@ -83,27 +86,6 @@ _TURBO_TICK = getattr(_ENGINE_OPS, "machine_tick", None)
 _TURBO_WAKE = getattr(_ENGINE_OPS, "machine_wake", None)
 
 
-class MachineStats:
-    """Aggregate machine counters."""
-
-    __slots__ = ("busy_time", "interrupt_time", "overhead_time", "dispatches",
-                 "context_switches", "interrupts", "pauses", "preemptions")
-
-    def __init__(self) -> None:
-        self.busy_time = 0
-        self.interrupt_time = 0
-        self.overhead_time = 0
-        self.dispatches = 0
-        self.context_switches = 0
-        self.interrupts = 0
-        self.pauses = 0
-        self.preemptions = 0
-
-    def idle_time(self, now: int) -> int:
-        """Time the CPU spent doing nothing up to ``now``."""
-        return now - self.busy_time - self.interrupt_time - self.overhead_time
-
-
 class Machine(ThreadLifecycle):
     """A single simulated CPU driven by a :class:`TopScheduler`."""
 
@@ -126,7 +108,6 @@ class Machine(ThreadLifecycle):
         #: default quantum pre-converted to instructions (per-dispatch path)
         self._default_quantum_work = work_from_time(default_quantum, capacity_ips)
         self.cost_model = cost_model if cost_model is not None else SchedulingCostModel()
-        self.stats = MachineStats()
 
         # --- dispatch state ------------------------------------------------
         self.current: Optional[SimThread] = None
@@ -194,6 +175,11 @@ class Machine(ThreadLifecycle):
             self._preempt_current()
         self._maybe_dispatch()
 
+    def _requeue(self, thread: SimThread, outcome: str, now: int) -> None:
+        """A thread stays queued while it runs; a sleep or wait dequeues it."""
+        if outcome == _OUTCOME_SLEEP or outcome == _OUTCOME_WAIT:
+            self.scheduler.thread_blocked(thread, now)
+
     def _maybe_dispatch(self) -> None:
         if self.current is not None:
             return
@@ -201,56 +187,17 @@ class Machine(ThreadLifecycle):
         if now < self._intr_busy_until:
             self._defer_dispatch(self._intr_busy_until)
             return
-        # One scheduler call instead of has_runnable() + pick_next():
-        # pick_next returns None when nothing is runnable (interface
-        # contract), so has_runnable() is only consulted to keep the
-        # contract-violation diagnostic.
-        thread = self.scheduler.pick_next(now)
+        thread = self._pick(now)
         if thread is None:
-            if self.scheduler.has_runnable():
-                raise SchedulingError(
-                    "scheduler claimed runnable work but picked None")
             return
-        if thread.state is not ThreadState.RUNNABLE:
-            raise SchedulingError(
-                "scheduler picked non-runnable thread %r" % (thread,))
         switched = thread is not self._last_ran
         overhead = self.cost_model.dispatch_cost(
             self.scheduler.decision_depth, switched)
-        # RUNNABLE was verified above and RUNNABLE -> RUNNING is the only
-        # edge out of it, so the transition() validation is redundant here.
-        thread.state = ThreadState.RUNNING
         self.current = thread
         self._last_ran = thread
-        self.stats.dispatches += 1
-        thread.stats.dispatches += 1
-        if switched:
-            self.stats.context_switches += 1
-        self.stats.overhead_time += overhead
-        quantum_ns = self.scheduler.quantum_for(thread)
-        if quantum_ns is None:
-            quantum_ns = self.default_quantum
-            self._quantum_work_left = self._default_quantum_work
-        else:
-            self._quantum_work_left = work_from_time(quantum_ns, self.capacity_ips)
-        if self._quantum_work_left <= 0:
-            raise SimulationError(
-                "quantum of %d ns yields zero instructions at %d ips"
-                % (quantum_ns, self.capacity_ips))
+        self._quantum_work_left = self._begin_dispatch(
+            thread, now, 0, switched, overhead)
         self._quantum_work_done = 0
-        if self.tracer is not None:
-            self.tracer.on_dispatch(thread, now)
-        if _BUS.tally is not None:
-            record = thread_record(_BUS.tally, thread)
-            record[R_DISPATCHES] += 1
-            if overhead:
-                record[R_OVERHEAD] += overhead
-        if _BUS.active:
-            _BUS.emit(obs.DISPATCH, now, tid=thread.tid,
-                         name=thread.name, node=_leaf_path(thread), cpu=0,
-                         depth=self.scheduler.decision_depth,
-                         switched=switched, overhead_ns=overhead,
-                         quantum_work=self._quantum_work_left)
         self._begin_burst(overhead)
 
     def _defer_dispatch(self, at_time: int) -> None:
@@ -289,27 +236,12 @@ class Machine(ThreadLifecycle):
     def _account_burst(self, executed: int) -> None:
         """Book ``executed`` instructions of the current burst."""
         assert self.current is not None
-        thread = self.current
-        now = self.engine.now
         if executed <= 0:
             return
-        thread.remaining_work -= executed
-        if thread.remaining_work < 0:
-            raise SimulationError("burst executed more work than remained")
         self._quantum_work_left -= executed
         self._quantum_work_done += executed
-        elapsed = max(0, now - self._burst_compute_start)
-        thread.stats.work_done += executed
-        thread.stats.cpu_time += elapsed
-        self.stats.busy_time += elapsed
-        if self.tracer is not None:
-            self.tracer.on_slice(thread, self._burst_compute_start, now, executed)
-        if _BUS.tally is not None:
-            _BUS.tally[T_EVENTS] += 1
-        if _BUS.active:
-            _BUS.emit(obs.SLICE, now, tid=thread.tid, name=thread.name,
-                         node=_leaf_path(thread), cpu=0,
-                         start=self._burst_compute_start, work=executed)
+        self._book_slice(self.current, 0, self._burst_compute_start,
+                         self.engine.now, executed)
 
     def _on_burst_complete(self) -> None:
         self._burst_handle = None
@@ -356,56 +288,12 @@ class Machine(ThreadLifecycle):
         """End the current dispatch: settle the workload, charge, reschedule."""
         assert self.current is not None
         thread = self.current
-        now = self.engine.now
+        done = self._quantum_work_done
         self.current = None
         self._paused = False
-
-        if thread.remaining_work > 0:
-            outcome, wake_time = _OUTCOME_RUN, None
-        else:
-            thread.stats.segments_completed += 1
-            if self.tracer is not None:
-                self.tracer.on_segment_complete(thread, now)
-            outcome, wake_time = self._advance_workload(thread)
-
-        # State first, then charge: schedulers observe the post-transition
-        # runnability (see LeafScheduler contract).  The current thread is
-        # RUNNING (only the machine assigns states, and dispatch set it),
-        # and every RUNNING -> X edge is legal, so assign directly instead
-        # of paying transition() validation on the per-dispatch path.
-        if outcome == _OUTCOME_RUN:
-            thread.state = ThreadState.RUNNABLE
-        elif outcome in (_OUTCOME_SLEEP, _OUTCOME_WAIT):
-            thread.state = ThreadState.SLEEPING
-            thread.stats.blocks += 1
-        else:
-            thread.state = ThreadState.EXITED
-            thread.stats.exited_at = now
-
-        if self._quantum_work_done > 0:
-            self.scheduler.charge(thread, self._quantum_work_done, now)
-            if self.tracer is not None:
-                self.tracer.on_charge(thread, now, self._quantum_work_done)
-            if _BUS.tally is not None:
-                record = thread_record(_BUS.tally, thread)
-                record[R_CHARGES] += 1
-                record[R_SERVICE] += self._quantum_work_done
-            if _BUS.active:
-                _BUS.emit(obs.CHARGE, now, tid=thread.tid,
-                             node=_leaf_path(thread),
-                             work=self._quantum_work_done)
         self._quantum_work_done = 0
         self._quantum_work_left = 0
-
-        if outcome == _OUTCOME_SLEEP:
-            self.scheduler.thread_blocked(thread, now)
-            self._schedule_wakeup(thread, wake_time)
-        elif outcome == _OUTCOME_WAIT:
-            self.scheduler.thread_blocked(thread, now)
-            self._note_wait(thread, now)
-        elif outcome == _OUTCOME_EXIT:
-            self._exit(thread, now)
-
+        self._end_dispatch(thread, done, self.engine.now)
         self._maybe_dispatch()
 
     # --- interrupts ----------------------------------------------------------

@@ -21,9 +21,9 @@ SF502 ``pure-only-mutation``
 
 SF503 ``turbo-bailout-gap``
     A C turbo entry point that can bail out to a Python method which
-    checks an observability gate (``BUS.active``, ``self.tracer``) must
-    re-check that same gate itself, or traced runs silently take the
-    fast path.
+    checks an observability gate (``BUS.active``, ``self.tracer``),
+    itself or through the methods it calls on ``self``, must re-check
+    that same gate itself, or traced runs silently take the fast path.
 
 SF504 ``capi-hygiene``
     Early-error ``return``/``goto`` paths must not leak owned
@@ -554,11 +554,26 @@ class _PyFacts:
 
     # --- gate facts -------------------------------------------------------
 
-    def method_gates(self, attr: str) -> Set[str]:
-        """Union of runtime gates every project method ``attr`` checks."""
+    def method_gates(self, attr: str,
+                     seen: Optional[Set[str]] = None) -> Set[str]:
+        """Union of runtime gates every project method ``attr`` checks,
+        in its own body or in the methods it calls on ``self``,
+        transitively -- a gate moved into a shared helper still counts."""
+        if seen is None:
+            seen = set()
+        if attr in seen:
+            return set()
+        seen.add(attr)
         gates: Set[str] = set()
         for info in self.index.methods_by_name.get(attr, []):
             for node in ast.walk(info.node):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if isinstance(func, ast.Attribute) and \
+                            isinstance(func.value, ast.Name) and \
+                            func.value.id == "self":
+                        gates |= self.method_gates(func.attr, seen)
+                    continue
                 if not isinstance(node, ast.Attribute):
                     continue
                 if node.attr == "active" and isinstance(node.value, ast.Name) \
@@ -705,25 +720,25 @@ class SeamPass:
     def _sf503(self, cmod: cext.CModule, cfacts: _CFacts,
                pyfacts: _PyFacts) -> Iterator[Finding]:
         for exported, symbol, _line in cmod.method_table:
-            required: Set[str] = set()
-            culprits: Dict[str, str] = {}
+            #: gate -> every bailout method that checks it
+            culprits: Dict[str, List[str]] = {}
             for attr in sorted(cfacts.bailout_attrs(symbol)):
                 for gate in pyfacts.method_gates(attr):
-                    required.add(gate)
-                    culprits.setdefault(gate, attr)
-            if not required:
+                    culprits.setdefault(gate, []).append(attr)
+            if not culprits:
                 continue
             have = cfacts.gates_checked(symbol)
             fn = cmod.functions.get(symbol)
             line = fn.line if fn is not None else 1
-            for gate in sorted(required - have):
+            for gate in sorted(set(culprits) - have):
                 yield Finding(
                     cmod.path, line, 1, "SF503",
-                    "turbo entry %s() can bail out to Python method "
-                    "%s() which checks the %r gate, but the C fast "
-                    "path never re-checks it; gated runs would take "
-                    "the turbo path" % (
-                        symbol, culprits[gate],
+                    "turbo entry %s() can bail out to Python methods "
+                    "%s which check the %r gate, but the C fast path "
+                    "never re-checks it; gated runs would take the "
+                    "turbo path" % (
+                        symbol,
+                        ", ".join("%s()" % attr for attr in culprits[gate]),
                         "BUS.active" if gate == "active" else gate))
 
     # --- SF504: C-API hygiene --------------------------------------------

@@ -69,10 +69,9 @@ class Scenario:
 def _machine_counters(machine: Union[Machine, SmpMachine], engine: Simulator,
                       threads: int) -> Callable[[], Counters]:
     def counters() -> Counters:
-        dispatches = getattr(machine, "stats", machine)
         return {
             "events": engine.events_fired,
-            "dispatches": dispatches.dispatches,
+            "dispatches": machine.stats.dispatches,
             "sim_ns": engine.now,
             "threads": threads,
         }
@@ -219,7 +218,7 @@ def _smp_interrupts_phases(quick: bool) -> List[Phase]:
         def counters() -> Counters:
             return {
                 "events": engine.events_fired,
-                "dispatches": machine.dispatches,
+                "dispatches": machine.stats.dispatches,
                 "sim_ns": engine.now,
                 "threads": 20,
             }

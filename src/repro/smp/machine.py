@@ -12,12 +12,16 @@ is simplified where parallelism would not change the studied behaviour:
 * quanta run to completion (no preemption), as in the paper.
 
 Both machines inherit the thread lifecycle -- spawn, workload segments
-(including synchronization), sleep/wakeup, exit, and their tracer and bus
-sites -- from :class:`~repro.cpu.lifecycle.ThreadLifecycle`, so it matches
-the uniprocessor by construction.  Work/time units, dispatch/slice/charge
-tracing and statistics match too, so all metrics and analysis code work
-unchanged — slices from different CPUs may overlap in time, which is
-exactly what the SMP fairness analysis needs to see.
+(including synchronization), sleep/wakeup, exit -- and the dispatch
+cycle -- the pick, dispatch accounting, slice booking, the
+end-of-dispatch settle and charge, their tracer and bus sites, and
+:class:`~repro.cpu.lifecycle.MachineStats` -- from
+:class:`~repro.cpu.lifecycle.ThreadLifecycle`, so they match the
+uniprocessor by construction.  This module keeps only burst timing, the
+per-CPU state and the withdraw-and-resubmit requeue.  All metrics and
+analysis code work unchanged — slices from different CPUs may overlap
+in time, which is exactly what the SMP fairness analysis needs to see —
+and ``stats.busy_time`` is summed over CPUs.
 """
 
 from __future__ import annotations
@@ -25,31 +29,11 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cpu.interface import TopScheduler
-from repro.cpu.lifecycle import (
-    _OUTCOME_RUN,
-    _OUTCOME_SLEEP,
-    _OUTCOME_WAIT,
-    ThreadLifecycle,
-    _leaf_path,
-)
-from repro.errors import SchedulingError, SimulationError
-from repro.obs import events as obs
-from repro.obs.tally import (
-    R_CHARGES,
-    R_DISPATCHES,
-    R_SERVICE,
-    T_EVENTS,
-    thread_record,
-)
+from repro.cpu.lifecycle import _OUTCOME_RUN, ThreadLifecycle
+from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.threads.states import ThreadState
 from repro.threads.thread import SimThread
 from repro.units import MS, SECOND, work_from_time
-
-#: module-level alias of the process-wide bus: emit-site guards are on
-#: the per-dispatch hot path, and `_BUS.active` is one attribute lookup
-#: cheaper than `obs.BUS.active`.
-_BUS = obs.BUS
 
 
 class _Cpu:
@@ -87,8 +71,6 @@ class SmpMachine(ThreadLifecycle):
         #: default quantum pre-converted to instructions (per-dispatch path)
         self._default_quantum_work = work_from_time(default_quantum, capacity_ips)
         self.cpus = [_Cpu(index) for index in range(num_cpus)]
-        self.busy_time = 0  # summed over CPUs
-        self.dispatches = 0
 
     # --- public API ------------------------------------------------------
 
@@ -107,7 +89,7 @@ class SmpMachine(ThreadLifecycle):
         """Mean fraction of CPU-time spent executing threads."""
         if self.engine.now == 0:
             return 0.0  # derived metric, not state  # schedlint: disable=SL004
-        return self.busy_time / (self.engine.now * self.num_cpus)  # schedlint: disable=SL004
+        return self.stats.busy_time / (self.engine.now * self.num_cpus)  # schedlint: disable=SL004
 
     # --- dispatching --------------------------------------------------------------
 
@@ -115,49 +97,36 @@ class SmpMachine(ThreadLifecycle):
         """``thread`` just became runnable: give it any idle CPU."""
         self._dispatch_idle_cpus()
 
-    def _dispatch_idle_cpus(self) -> None:
-        for cpu in self.cpus:
-            if cpu.current is None:
-                self._dispatch(cpu)
+    def _requeue(self, thread: SimThread, outcome: str, now: int) -> None:
+        """Re-submit a thread that still has work; it was withdrawn at
+        dispatch, so a sleep needs no ``thread_blocked``."""
+        if outcome == _OUTCOME_RUN:
+            # re-enter the queues with a fresh stamp S = max(v, F)
+            self.scheduler.thread_runnable(thread, now)
 
-    def _dispatch(self, cpu: _Cpu) -> None:
+    def _dispatch_idle_cpus(self) -> None:
+        # Stop at the first pick that finds nothing runnable: dispatching
+        # a CPU never makes a thread runnable, so every later pick in
+        # this pass would come back empty too.
+        for cpu in self.cpus:
+            if cpu.current is None and not self._dispatch(cpu):
+                return
+
+    def _dispatch(self, cpu: _Cpu) -> bool:
+        """Dispatch the next thread on idle ``cpu``; False if none is runnable."""
         now = self.engine.now
-        # One scheduler call instead of has_runnable() + pick_next():
-        # pick_next returns None when nothing is runnable (interface
-        # contract), so has_runnable() is only consulted to keep the
-        # contract-violation diagnostic.
-        thread = self.scheduler.pick_next(now)
+        thread = self._pick(now)
         if thread is None:
-            if self.scheduler.has_runnable():
-                raise SchedulingError(
-                    "scheduler claimed runnable work, got None")
-            return
+            return False
         # Withdraw the thread for the duration of service: no other CPU
         # may pick it; tags are untouched until the charge.
         self.scheduler.thread_blocked(thread, now)
-        thread.transition(ThreadState.RUNNING)
         cpu.current = thread
-        self.dispatches += 1
-        thread.stats.dispatches += 1
-        quantum_ns = self.scheduler.quantum_for(thread)
-        if quantum_ns is None:
-            cpu.quantum_left = self._default_quantum_work
-        else:
-            cpu.quantum_left = work_from_time(quantum_ns, self.capacity_ips)
-        if cpu.quantum_left <= 0:
-            raise SimulationError("quantum too small for capacity")
+        cpu.quantum_left = self._begin_dispatch(thread, now, cpu.index,
+                                                True, 0)
         cpu.quantum_done = 0
-        if self.tracer is not None:
-            self.tracer.on_dispatch(thread, now)
-        if _BUS.tally is not None:
-            thread_record(_BUS.tally, thread)[R_DISPATCHES] += 1
-        if _BUS.active:
-            _BUS.emit(obs.DISPATCH, now, tid=thread.tid,
-                         name=thread.name, node=_leaf_path(thread),
-                         cpu=cpu.index, depth=self.scheduler.decision_depth,
-                         switched=True, overhead_ns=0,
-                         quantum_work=cpu.quantum_left)
         self._begin_burst(cpu)
+        return True
 
     def _begin_burst(self, cpu: _Cpu) -> None:
         thread = cpu.current
@@ -179,22 +148,10 @@ class SmpMachine(ThreadLifecycle):
         assert thread is not None
         if executed <= 0:
             return
-        now = self.engine.now
-        thread.remaining_work -= executed
         cpu.quantum_left -= executed
         cpu.quantum_done += executed
-        elapsed = now - cpu.burst_start
-        thread.stats.work_done += executed
-        thread.stats.cpu_time += elapsed
-        self.busy_time += elapsed
-        if self.tracer is not None:
-            self.tracer.on_slice(thread, cpu.burst_start, now, executed)
-        if _BUS.tally is not None:
-            _BUS.tally[T_EVENTS] += 1
-        if _BUS.active:
-            _BUS.emit(obs.SLICE, now, tid=thread.tid, name=thread.name,
-                         node=_leaf_path(thread), cpu=cpu.index,
-                         start=cpu.burst_start, work=executed)
+        self._book_slice(thread, cpu.index, cpu.burst_start,
+                         self.engine.now, executed)
 
     def _on_burst_complete(self, cpu: _Cpu) -> None:
         cpu.burst_handle = None
@@ -218,48 +175,9 @@ class SmpMachine(ThreadLifecycle):
     def _finish_dispatch(self, cpu: _Cpu) -> None:
         thread = cpu.current
         assert thread is not None
-        now = self.engine.now
+        done = cpu.quantum_done
         cpu.current = None
-
-        if thread.remaining_work > 0:
-            outcome, wake_time = _OUTCOME_RUN, None
-        else:
-            thread.stats.segments_completed += 1
-            if self.tracer is not None:
-                self.tracer.on_segment_complete(thread, now)
-            outcome, wake_time = self._advance_workload(thread)
-
-        if outcome == _OUTCOME_RUN:
-            thread.transition(ThreadState.RUNNABLE)
-        elif outcome in (_OUTCOME_SLEEP, _OUTCOME_WAIT):
-            thread.transition(ThreadState.SLEEPING)
-            thread.stats.blocks += 1
-        else:
-            thread.transition(ThreadState.EXITED)
-            thread.stats.exited_at = now
-
-        if cpu.quantum_done > 0:
-            self.scheduler.charge(thread, cpu.quantum_done, now)
-            if self.tracer is not None:
-                self.tracer.on_charge(thread, now, cpu.quantum_done)
-            if _BUS.tally is not None:
-                record = thread_record(_BUS.tally, thread)
-                record[R_CHARGES] += 1
-                record[R_SERVICE] += cpu.quantum_done
-            if _BUS.active:
-                _BUS.emit(obs.CHARGE, now, tid=thread.tid,
-                             node=_leaf_path(thread), work=cpu.quantum_done)
         cpu.quantum_done = 0
         cpu.quantum_left = 0
-
-        if outcome == _OUTCOME_RUN:
-            # re-enter the queues with a fresh stamp S = max(v, F)
-            self.scheduler.thread_runnable(thread, now)
-        elif outcome == _OUTCOME_SLEEP:
-            self._schedule_wakeup(thread, wake_time)
-        elif outcome == _OUTCOME_WAIT:
-            self._note_wait(thread, now)
-        else:
-            self._exit(thread, now)
-
+        self._end_dispatch(thread, done, self.engine.now)
         self._dispatch_idle_cpus()

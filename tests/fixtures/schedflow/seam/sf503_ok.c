@@ -1,10 +1,12 @@
-/* SF503 fixture (clean): the turbo entry re-checks both gates its
- * Python bailout target checks before taking the fast path. */
+/* SF503 fixture (clean): each turbo entry re-checks every gate its
+ * Python bailout target checks, itself or through its helpers, before
+ * taking the fast path. */
 
 static PyObject *bus_obj;
 static PyObject *str_active;
 static PyObject *str_tracer;
 static PyObject *str_on_poke;
+static PyObject *str_on_nudge;
 
 static struct {
     PyObject **slot;
@@ -13,6 +15,7 @@ static struct {
     { &str_active, "active" },
     { &str_tracer, "tracer" },
     { &str_on_poke, "on_poke" },
+    { &str_on_nudge, "on_nudge" },
 };
 
 static PyObject *
@@ -36,7 +39,22 @@ sfqc_fast_poke(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+static PyObject *
+sfqc_fast_nudge(PyObject *self, PyObject *args)
+{
+    PyObject *machine = PyTuple_GET_ITEM(args, 0);
+    PyObject *tracer = PyObject_GetAttr(machine, str_tracer);
+    if (tracer == NULL)
+        return NULL;
+    int bail = tracer != Py_None;
+    Py_DECREF(tracer);
+    if (bail)
+        return PyObject_CallMethodObjArgs(machine, str_on_nudge, NULL);
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef seam_methods[] = {
     {"fast_poke", (PyCFunction)sfqc_fast_poke, METH_VARARGS, "poke"},
+    {"fast_nudge", (PyCFunction)sfqc_fast_nudge, METH_VARARGS, "nudge"},
     {NULL, NULL, 0, NULL}
 };

@@ -12,3 +12,11 @@ class PokeMachine:
             _BUS.emit("poke")
         if self.tracer is not None:
             self.tracer.on_poke(self)
+
+    def on_nudge(self):
+        """Bailout target whose only gate sits in a helper it calls."""
+        self._observe()
+
+    def _observe(self):
+        if self.tracer is not None:
+            self.tracer.on_nudge(self)

@@ -1,8 +1,9 @@
 """The thread lifecycle both machines inherit (repro.cpu.lifecycle).
 
 Every test runs on the uniprocessor and on one- and two-CPU SMP machines:
-the workload-segment protocol, its errors, and exit-time mutex release
-are one implementation, so they must behave the same on each.
+the workload-segment protocol, the dispatch cycle, their errors, the
+machine counters and exit-time mutex release are one implementation, so
+they must behave the same on each.
 """
 
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from repro.core.hierarchy import HierarchicalScheduler
 from repro.core.structure import SchedulingStructure
 from repro.cpu.machine import Machine
-from repro.errors import WorkloadError
+from repro.devtools import schedsan
+from repro.errors import SchedulingError, SimulationError, WorkloadError
 from repro.schedulers.sfq_leaf import SfqScheduler
 from repro.sim.engine import Simulator
 from repro.smp.machine import SmpMachine
@@ -44,9 +46,10 @@ class Bogus:
 
 
 class Rig:
-    def __init__(self, kind):
+    def __init__(self, kind, quantum=None):
         structure = SchedulingStructure()
-        self.leaf = structure.mknod("/apps", 1, scheduler=SfqScheduler())
+        self.leaf = structure.mknod("/apps", 1,
+                                    scheduler=SfqScheduler(quantum=quantum))
         self.engine = Simulator()
         self.recorder = Recorder()
         self.machine = MACHINES[kind](
@@ -62,6 +65,12 @@ class Rig:
 @pytest.fixture(params=sorted(MACHINES))
 def rig(request):
     return Rig(request.param)
+
+
+@pytest.fixture
+def unsanitized(monkeypatch):
+    """Build machines without SCHEDSAN, whose own checks would fire first."""
+    monkeypatch.delenv(schedsan.ENV_ENABLE, raising=False)
 
 
 def test_unknown_segment_names_workload_and_segment(rig):
@@ -109,3 +118,34 @@ def test_exit_while_holding_mutex_wakes_waiter_once(rig):
     assert waiter.stats.work_done == 5_000
     # the waiter ran only once the holder had exited
     assert rig.recorder.trace_of(waiter).dispatches[0] >= holder.stats.exited_at
+
+
+@pytest.mark.parametrize("kind", sorted(MACHINES))
+def test_runnable_work_but_no_pick_raises_same_error(kind, unsanitized):
+    rig = Rig(kind)
+    rig.machine.scheduler.pick_next = lambda now: None
+    with pytest.raises(SchedulingError) as info:
+        rig.spawn("t", [Compute(1000)])
+    assert str(info.value) == "scheduler claimed runnable work but picked None"
+
+
+@pytest.mark.parametrize("kind", sorted(MACHINES))
+def test_zero_instruction_quantum_raises_same_error(kind):
+    rig = Rig(kind, quantum=1)
+    with pytest.raises(SimulationError) as info:
+        rig.spawn("t", [Compute(1000)])
+    assert str(info.value) == (
+        "quantum of 1 ns yields zero instructions at %d ips" % CAPACITY)
+
+
+def test_machine_stats_sum_thread_stats(rig):
+    threads = [rig.spawn("t%d" % index,
+                         [Compute(25_000 + 5_000 * index), SleepFor(7 * MS),
+                          Compute(12_000)])
+               for index in range(3)]
+    rig.machine.run_until(SECOND // 2)
+    stats = rig.machine.stats
+    assert all(thread.state is ThreadState.EXITED for thread in threads)
+    assert stats.dispatches == sum(t.stats.dispatches for t in threads)
+    assert stats.busy_time == sum(t.stats.cpu_time for t in threads)
+    assert stats.dispatches > len(threads)

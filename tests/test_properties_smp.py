@@ -84,5 +84,5 @@ class TestSmpProperties:
                                                        thread_scripts)
         total_work = sum(expected.values())
         # 1 instruction per microsecond per CPU
-        slack = machine.dispatches * 1000 + 1000
-        assert abs(machine.busy_time - total_work * 1000) <= slack
+        slack = machine.stats.dispatches * 1000 + 1000
+        assert abs(machine.stats.busy_time - total_work * 1000) <= slack

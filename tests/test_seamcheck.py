@@ -176,7 +176,22 @@ class TestSeededSkews:
             occurrence=2)
         hits = [f for f in _analyze_seeded(text) if f.code == "SF503"]
         assert any("sfqc_machine_wake" in f.message
-                   and "'tracer'" in f.message for f in hits), \
+                   and "'tracer'" in f.message
+                   and "_on_wakeup()" in f.message for f in hits), \
+            [str(f) for f in hits]
+
+    def test_sf503_follows_gates_into_self_helpers(self):
+        """_on_burst_complete checks no gate itself: its tracer sites sit
+        in the helpers it calls (_account_burst -> _book_slice,
+        _finish_dispatch -> _end_dispatch), and they still count."""
+        text = _seed(
+            "PyObject *tracer = PyObject_GetAttr(machine, str_tracer);",
+            "PyObject *tracer = PyObject_GetAttr(machine, str_queue);")
+        hits = [f for f in _analyze_seeded(text) if f.code == "SF503"]
+        assert any("sfqc_machine_tick" in f.message
+                   and "'tracer'" in f.message
+                   and "_on_burst_complete()" in f.message
+                   and "_maybe_dispatch()" in f.message for f in hits), \
             [str(f) for f in hits]
 
     def test_sf504_catches_dropped_decref_on_error_path(self):

@@ -67,6 +67,25 @@ class TestBasics:
         assert harness.machine.utilization() == pytest.approx(0.5,
                                                               abs=0.01)
 
+    def test_idle_cpus_stop_at_first_empty_pick(self):
+        """Spawning one thread on four idle CPUs picks twice: once for
+        the thread, once to find nothing left -- the last two CPUs are
+        not polled."""
+        harness = SmpHarness(num_cpus=4)
+        scheduler = harness.machine.scheduler
+        picks = []
+        real_pick = scheduler.pick_next
+
+        def counting_pick(now):
+            picks.append(now)
+            return real_pick(now)
+
+        scheduler.pick_next = counting_pick
+        harness.spawn_dhrystone("solo")
+        assert len(picks) == 2
+        busy = [cpu for cpu in harness.machine.cpus if cpu.current is not None]
+        assert len(busy) == 1
+
     def test_two_threads_run_in_parallel(self):
         harness = SmpHarness(num_cpus=2)
         a = harness.spawn_segments("a", [Compute(100 * KILO)])
